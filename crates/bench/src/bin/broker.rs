@@ -1,24 +1,13 @@
 //! Broker-core benchmark: publish/fan-out throughput and delivery latency
 //! across event-loop shard counts, emitted as `BENCH_broker.json`.
 //!
-//! Three workloads over the **real** broker (raw MQTT frames over
-//! in-process links, no FL stack):
+//! Workloads over the **real** broker (raw MQTT frames over in-process
+//! socket-pair connections, no FL stack):
 //!
 //! * `fanout` — CPU-bound routing: 8 publishers blast QoS 0 publishes at
-//!   subscriber pools of 1 → 1000 over unbounded links. Each delivery's
-//!   latency is measured from a timestamp embedded in the payload
-//!   (p50/p99). On a multi-core host this scales with shards; on a
+//!   subscriber pools of 1 → 1000. Each delivery's latency is measured
+//!   from a timestamp embedded in the payload (p50/p99). On a multi-core host this scales with shards; on a
 //!   single-core host it is flat by construction (the work is CPU).
-//! * `hol` — flow-controlled fan-out (the sharding headline): every
-//!   subscriber link is *bounded* (the in-process model of a TCP send
-//!   window) and subscribers drain in batches with a processing pause,
-//!   so the broker regularly blocks on a full window. With one shard
-//!   that block head-of-line-stalls every other partition's traffic;
-//!   with N shards only the stalled partition waits. The aggregate
-//!   delivered msgs/s across all partitions is the
-//!   `publish_fanout_throughput` the acceptance gate reads, because it
-//!   measures the architectural property sharding buys at *any* core
-//!   count — stall isolation — not just spare CPUs.
 //! * `retained` — retained set/clear churn (QoS 1 round-trips). This
 //!   funnels through the index's single writer by design, so it is
 //!   expected to stay flat across shard counts; it is recorded to prove
@@ -47,8 +36,8 @@
 //! cargo run --release -p sdflmq-bench --bin broker [-- --smoke]
 //! ```
 //!
-//! `--smoke` shrinks volumes and the matrix for CI; the ≥2x 4-vs-1-shard
-//! assertion on the flow-controlled aggregate runs in both modes.
+//! `--smoke` shrinks volumes and the matrix for CI; every gate runs in
+//! both modes.
 
 use bytes::Bytes;
 use sdflmq_mqtt::broker::{Broker, BrokerConfig};
@@ -112,22 +101,14 @@ fn pinned_id(prefix: &str, residue: u64) -> String {
 }
 
 /// Raw MQTT client: CONNECT handshake done, link exposed.
-fn connect(broker: &Broker, id: &str, bounded: Option<usize>) -> LinkEnd {
-    connect_session(broker, id, true, bounded)
+fn connect(broker: &Broker, id: &str) -> LinkEnd {
+    connect_session(broker, id, true)
 }
 
 /// [`connect`] with an explicit clean-session flag — the durability axis
 /// needs persistent sessions so deliveries generate WAL records.
-fn connect_session(
-    broker: &Broker,
-    id: &str,
-    clean_session: bool,
-    bounded: Option<usize>,
-) -> LinkEnd {
-    let link = match bounded {
-        Some(cap) => broker.connect_transport_bounded(cap).unwrap(),
-        None => broker.connect_transport().unwrap(),
-    };
+fn connect_session(broker: &Broker, id: &str, clean_session: bool) -> LinkEnd {
+    let link = broker.connect_transport().unwrap();
     link.send_packet(&Packet::Connect(Connect {
         client_id: id.to_owned(),
         clean_session,
@@ -171,7 +152,7 @@ struct FanoutCell {
 }
 
 /// CPU-bound fan-out: `PARTITIONS` publishers to one shared topic with
-/// `fanout` subscribers; unbounded links; QoS 0 encode-once delivery.
+/// `fanout` subscribers; QoS 0 encode-once delivery.
 fn bench_fanout(shards: usize, fanout: usize, msgs_per_pub: usize) -> FanoutCell {
     let broker = broker_with(shards);
     let delivered = Arc::new(AtomicU64::new(0));
@@ -180,7 +161,7 @@ fn bench_fanout(shards: usize, fanout: usize, msgs_per_pub: usize) -> FanoutCell
 
     let mut drains = Vec::new();
     for i in 0..fanout {
-        let link = connect(&broker, &format!("sub-{i}"), None);
+        let link = connect(&broker, &format!("sub-{i}"));
         subscribe(&link, "fan/all", QoS::AtMostOnce);
         let delivered = Arc::clone(&delivered);
         let latencies = Arc::clone(&latencies);
@@ -208,7 +189,7 @@ fn bench_fanout(shards: usize, fanout: usize, msgs_per_pub: usize) -> FanoutCell
     let start = Instant::now();
     let pubs: Vec<_> = (0..PARTITIONS)
         .map(|p| {
-            let link = connect(&broker, &pinned_id("pub", p as u64), None);
+            let link = connect(&broker, &pinned_id("pub", p as u64));
             let topic = topic.clone();
             std::thread::spawn(move || {
                 for _ in 0..msgs_per_pub {
@@ -272,12 +253,12 @@ fn bench_fanout_latency(shards: usize, fanout: usize, rounds: usize) -> f64 {
     let broker = broker_with(shards);
     let subs: Vec<LinkEnd> = (0..fanout)
         .map(|i| {
-            let link = connect(&broker, &format!("lat-sub-{i}"), None);
+            let link = connect(&broker, &format!("lat-sub-{i}"));
             subscribe(&link, "lat/all", QoS::AtMostOnce);
             link
         })
         .collect();
-    let publ = connect(&broker, "lat-pub", None);
+    let publ = connect(&broker, "lat-pub");
     let frame = codec::encode(&Packet::Publish(Publish {
         dup: false,
         qos: QoS::AtMostOnce,
@@ -308,69 +289,6 @@ fn bench_fanout_latency(shards: usize, fanout: usize, rounds: usize) -> f64 {
     samples[(samples.len() - 1) / 2]
 }
 
-/// Flow-controlled fan-out: one throttled, window-bounded subscriber per
-/// partition. A full window blocks the delivering shard; with one shard
-/// that stall holds every partition hostage (head-of-line blocking),
-/// with N shards it is contained. Returns aggregate delivered msgs/s.
-fn bench_hol(shards: usize, msgs_per_pub: usize) -> f64 {
-    const WINDOW: usize = 64;
-    let broker = broker_with(shards);
-    let delivered = Arc::new(AtomicU64::new(0));
-
-    let mut drains = Vec::new();
-    for p in 0..PARTITIONS {
-        let link = connect(&broker, &format!("hol-sub-{p}"), Some(WINDOW));
-        subscribe(&link, &format!("part/{p}"), QoS::AtMostOnce);
-        let delivered = Arc::clone(&delivered);
-        drains.push(std::thread::spawn(move || {
-            let mut n = 0usize;
-            while link.recv_frame().is_ok() {
-                n += 1;
-                delivered.fetch_add(1, Ordering::Relaxed);
-                if n.is_multiple_of(WINDOW) {
-                    // Per-batch processing cost: the consumer-side work
-                    // (decode, apply) that makes real windows fill up.
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        }));
-    }
-
-    let expected = (PARTITIONS * msgs_per_pub) as u64;
-    let start = Instant::now();
-    let pubs: Vec<_> = (0..PARTITIONS)
-        .map(|p| {
-            let link = connect(&broker, &pinned_id("hol-pub", p as u64), None);
-            std::thread::spawn(move || {
-                let topic = TopicName::new(format!("part/{p}")).unwrap();
-                let frame = codec::encode(&Packet::Publish(Publish {
-                    dup: false,
-                    qos: QoS::AtMostOnce,
-                    retain: false,
-                    topic,
-                    packet_id: None,
-                    payload: Bytes::from_static(b"flow-controlled-payload-64b-x"),
-                }))
-                .unwrap();
-                for _ in 0..msgs_per_pub {
-                    link.send_frame(frame.clone()).unwrap();
-                }
-                link
-            })
-        })
-        .collect();
-    let _links: Vec<LinkEnd> = pubs.into_iter().map(|t| t.join().unwrap()).collect();
-    while delivered.load(Ordering::Relaxed) < expected {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let wall = start.elapsed().as_secs_f64();
-    drop(broker);
-    for d in drains {
-        let _ = d.join();
-    }
-    expected as f64 / wall
-}
-
 /// Retained set/clear churn at QoS 1 (round-trip per op): exercises the
 /// snapshot index's single writer. Returns ops/s.
 fn bench_retained(shards: usize, ops_per_pub: usize) -> f64 {
@@ -378,7 +296,7 @@ fn bench_retained(shards: usize, ops_per_pub: usize) -> f64 {
     let start = Instant::now();
     let pubs: Vec<_> = (0..PARTITIONS)
         .map(|p| {
-            let link = connect(&broker, &pinned_id("ret-pub", p as u64), None);
+            let link = connect(&broker, &pinned_id("ret-pub", p as u64));
             std::thread::spawn(move || {
                 for i in 0..ops_per_pub {
                     let clearing = i % 2 == 1;
@@ -500,7 +418,7 @@ fn bench_durable(
     let delivered = Arc::new(AtomicU64::new(0));
     let mut drains = Vec::new();
     for i in 0..subs {
-        let link = connect_session(&broker, &format!("dsub-{i}"), false, None);
+        let link = connect_session(&broker, &format!("dsub-{i}"), false);
         subscribe(&link, "dur/all", QoS::AtLeastOnce);
         let delivered = Arc::clone(&delivered);
         drains.push(std::thread::spawn(move || {
@@ -522,7 +440,7 @@ fn bench_durable(
     let start = Instant::now();
     let pubs: Vec<_> = (0..PARTITIONS)
         .map(|p| {
-            let link = connect(&broker, &pinned_id("dpub", p as u64), None);
+            let link = connect(&broker, &pinned_id("dpub", p as u64));
             let topic = topic.clone();
             std::thread::spawn(move || {
                 for i in 0..msgs_per_pub {
@@ -890,7 +808,7 @@ fn bench_recovery(topics: usize) -> RecoveryCell {
     // the churn a snapshot folds away.
     {
         let broker = durable();
-        let link = connect(&broker, "rec-pub", None);
+        let link = connect(&broker, "rec-pub");
         for i in 0..topics * 4 {
             let t = i % topics;
             link.send_packet(&Packet::Publish(Publish {
@@ -963,7 +881,7 @@ fn main() {
     println!("# Broker core — {PARTITIONS} publishers, shards {shard_counts:?}, {cpus} CPUs\n");
 
     // --- CPU-bound fan-out matrix ---------------------------------------
-    println!("fanout matrix (unbounded links, QoS 0):");
+    println!("fanout matrix (QoS 0):");
     println!("shards  fanout  msgs/s      p50-us   p99-us");
     let mut fanout_cells = Vec::new();
     for &shards in shard_counts {
@@ -981,17 +899,6 @@ fn main() {
             );
             fanout_cells.push(cell);
         }
-    }
-
-    // --- Flow-controlled fan-out (head-of-line isolation) ---------------
-    println!("\nflow-controlled fan-out (bounded windows, throttled consumers):");
-    println!("shards  msgs/s");
-    let hol_msgs = 3_000 / scale;
-    let mut hol: Vec<(usize, f64)> = Vec::new();
-    for &shards in shard_counts {
-        let rate = bench_hol(shards, hol_msgs);
-        println!("{shards:>6}  {rate:>10.0}");
-        hol.push((shards, rate));
     }
 
     // --- Retained churn --------------------------------------------------
@@ -1204,9 +1111,6 @@ fn main() {
     );
 
     // --- Aggregate + acceptance gates ------------------------------------
-    let rate_at =
-        |v: &[(usize, f64)], s: usize| v.iter().find(|(n, _)| *n == s).map(|(_, r)| *r).unwrap();
-    let hol_speedup = rate_at(&hol, 4) / rate_at(&hol, 1);
     let cpu_cell = |shards: usize| {
         fanout_cells
             .iter()
@@ -1216,14 +1120,7 @@ fn main() {
     };
     let cpu_speedup = cpu_cell(4) / cpu_cell(1).max(1.0);
     println!(
-        "\naggregate publish-fanout throughput (flow-controlled): \
-         4 shards = {:.2}x 1 shard (cpu-bound fanout-100: {:.2}x, {} CPUs)",
-        hol_speedup, cpu_speedup, cpus
-    );
-    assert!(
-        hol_speedup >= 2.0,
-        "sharded stall isolation must deliver >= 2x aggregate fan-out \
-         throughput at 4 shards vs 1 (got {hol_speedup:.2}x)"
+        "\ncpu-bound fanout-100 throughput: 4 shards = {cpu_speedup:.2}x 1 shard ({cpus} CPUs)"
     );
 
     // Batched cross-shard delivery gate: one coalesced Deliver batch per
@@ -1266,10 +1163,6 @@ fn main() {
         ("host_cpus", Json::num(cpus as f64)),
         ("publishers", Json::num(PARTITIONS as f64)),
         ("fanout_matrix", Json::Array(fanout_json)),
-        (
-            "flow_controlled",
-            Json::object(hol.iter().map(|(s, r)| (format!("{s}"), Json::num(*r)))),
-        ),
         (
             "retained_churn_ops_per_s",
             Json::object(
@@ -1372,16 +1265,11 @@ fn main() {
         (
             "aggregate",
             Json::object([
-                (
-                    "publish_fanout_throughput_msgs_per_s",
-                    Json::object(hol.iter().map(|(s, r)| (format!("{s}"), Json::num(*r)))),
-                ),
-                ("speedup_4_shards_vs_1", Json::num(hol_speedup)),
                 ("cpu_bound_fanout100_speedup_4_vs_1", Json::num(cpu_speedup)),
                 ("durable_oscache_floor_vs_memory", Json::num(durable_floor)),
             ]),
         ),
     ]);
     std::fs::write("BENCH_broker.json", doc.to_string_compact()).expect("write BENCH_broker.json");
-    println!("wrote BENCH_broker.json (flow-controlled 4v1 speedup {hol_speedup:.2}x)");
+    println!("wrote BENCH_broker.json");
 }

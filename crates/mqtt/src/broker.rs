@@ -4,7 +4,7 @@
 //! ([`BrokerConfig::shards`]), each a readiness-driven reactor (see
 //! [`crate::reactor`]): one nonblocking poll loop per shard multiplexes
 //! every connection the shard owns — accept handoff, frame decode, CONNECT
-//! gating, keep-alive deadlines, fault-delay timers, and vectored TCP
+//! gating, keep-alive deadlines, fault-delay timers, and vectored socket
 //! writes with per-connection write backpressure — so broker-side thread
 //! count is O(shards), never O(connections). A new connection parks on a
 //! provisional shard until its CONNECT arrives; the client id is hashed
@@ -42,13 +42,16 @@
 //! a tick, so an idle broker sleeps completely and a stalled loop can
 //! never accumulate a backlog of tick events.
 //!
-//! TCP connections ([`Broker::listen`]) are fully nonblocking: reads
-//! accumulate into a per-connection buffer until whole frames decode, and
-//! writes queue into a per-connection outbound buffer flushed with
-//! vectored writes when the socket is writable. A subscriber whose
-//! outbound queue exceeds the high-water mark
-//! ([`BrokerConfig::tcp_write_hwm`]) is evicted as a slow consumer — an
-//! ungraceful close, so its last will fires.
+//! There is one connection model. A TCP socket accepted by
+//! [`Broker::listen`] and the broker end of an in-process socket pair
+//! opened by [`Broker::connect_transport`] are both nonblocking streams
+//! handed to a home shard by the same `Accept` event: reads pass through
+//! a frame reader until whole frames decode, and writes queue into a
+//! per-connection outbound buffer flushed with vectored writes when the
+//! socket is writable. A subscriber whose outbound queue exceeds the
+//! high-water mark ([`BrokerConfig::tcp_write_hwm`]) is evicted as a slow
+//! consumer — an ungraceful close, so its last will fires. No path blocks
+//! a shard on a consumer.
 //!
 //! Bridge connections (client ids beginning with [`BRIDGE_PREFIX`]) receive
 //! special treatment: messages they publish are never echoed back to them,
@@ -67,17 +70,16 @@ use crate::reactor::{
 use crate::session::{InflightOut, QueuedMessage, Session};
 use crate::stats::{BrokerCounters, BrokerStatsSnapshot};
 use crate::topic::TopicName;
-use crate::transport::{
-    link, link_with_capacity, FrameReceiver, FrameSender, LinkEnd, TcpOutbound, TryRecv,
-};
+use crate::transport::{FrameReader, FrameSender, LinkEnd, Outbound, Stream};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::io::{IoSlice, Read, Write};
+use std::io::{IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -104,9 +106,10 @@ pub struct BrokerConfig {
     /// WAL + snapshot persistence (see [`crate::persist`]). The default,
     /// [`Persistence::disabled`], keeps the broker purely in-memory.
     pub persistence: Persistence,
-    /// Per-TCP-connection outbound buffer high-water mark in bytes. A
-    /// subscriber whose unflushed outbound queue exceeds this is evicted
-    /// as a slow consumer (ungraceful close: its last will fires).
+    /// Per-connection outbound buffer high-water mark in bytes (TCP and
+    /// in-process connections alike). A subscriber whose unflushed
+    /// outbound queue exceeds this is evicted as a slow consumer
+    /// (ungraceful close: its last will fires).
     pub tcp_write_hwm: usize,
 }
 
@@ -153,47 +156,23 @@ struct Delivery {
 }
 
 enum Event {
-    /// A fresh in-process link lands on its provisional home shard
-    /// (`conn % shards`), which gates it until the CONNECT arrives.
-    /// `target` is the shard index the link's incoming-frame hook reads;
-    /// the home shard retargets it when the connection migrates.
-    LinkAttach {
+    /// A fresh connection (accepted TCP socket or in-process socket pair
+    /// end) lands on its provisional home shard (`conn % shards`), which
+    /// registers it with the poller and gates it until the CONNECT.
+    Accept {
         conn: ConnId,
-        sender: FrameSender,
-        receiver: FrameReceiver,
-        target: Arc<AtomicUsize>,
+        stream: Stream,
     },
-    /// A link produced at least one frame (or hung up); the owning shard
-    /// drains one frame per notify.
-    LinkNotify(ConnId),
-    /// A gated link saw its CONNECT; the home shard hands the connection
-    /// to the owner shard (`rest` is any pipelined bytes after CONNECT).
-    LinkMigrate {
+    /// A gated connection saw its CONNECT on the home shard and moves to
+    /// the owner shard with its read buffer and outbound queue intact.
+    Migrate {
         conn: ConnId,
-        sender: FrameSender,
-        receiver: FrameReceiver,
-        connect: Box<Connect>,
-        rest: Bytes,
-    },
-    /// The acceptor thread hands a fresh TCP socket to its provisional
-    /// home shard, which registers it with the poller and gates it.
-    TcpAccept {
-        conn: ConnId,
-        stream: TcpStream,
-    },
-    /// A gated TCP connection saw its CONNECT on the home shard and moves
-    /// to the owner shard with its read buffer and outbound queue intact.
-    TcpMigrate {
-        conn: ConnId,
-        stream: TcpStream,
-        rbuf: Vec<u8>,
-        out: Arc<TcpOutbound>,
+        stream: Stream,
+        reader: FrameReader,
+        out: Arc<Outbound>,
         connect: Box<Connect>,
     },
     ConnClosed(ConnId),
-    /// A migrated link connection closed at its owner; the home shard
-    /// drops its forwarding entry.
-    ConnGone(ConnId),
     /// Cross-shard delivery hops, coalesced per target shard (the fault
     /// plan was already evaluated by the routing shard). A routing shard
     /// drains its mailbox, buffers every hop, and sends one batch per
@@ -432,61 +411,28 @@ impl Broker {
         self.index.load().generation
     }
 
-    /// Opens a new transport connection to this broker and returns the
-    /// client-side link end. The caller then speaks MQTT over it (or hands
-    /// it to [`crate::client::Client`]).
-    pub fn connect_transport(&self) -> Result<LinkEnd> {
-        let (client_end, broker_end) = link();
-        self.attach(broker_end)?;
-        Ok(client_end)
-    }
-
-    /// Like [`Broker::connect_transport`], but each direction of the link
-    /// buffers at most `capacity` frames. A full broker→client queue
-    /// blocks the delivering shard — the in-process model of TCP flow
-    /// control, used by the broker bench to measure head-of-line blocking.
-    pub fn connect_transport_bounded(&self, capacity: usize) -> Result<LinkEnd> {
-        let (client_end, broker_end) = link_with_capacity(Some(capacity));
-        self.attach(broker_end)?;
-        Ok(client_end)
-    }
-
-    /// Hands the broker side of an in-process link to its provisional
-    /// home shard — no thread is spawned; the link's incoming-frame hook
-    /// nudges whichever shard currently owns the connection. Fails with
+    /// Opens a new in-process connection to this broker and returns the
+    /// client end. The broker end of the Unix socket pair takes the same
+    /// path as an accepted TCP socket: reactor reads, CONNECT gate,
+    /// outbound queue, slow-consumer eviction. The caller then speaks MQTT
+    /// over it (or hands it to [`crate::client::Client`]). Fails with
     /// [`MqttError::BrokerUnavailable`] when any shard loop has exited
     /// (shutdown in progress or a crashed shard).
-    fn attach(&self, end: LinkEnd) -> Result<()> {
+    pub fn connect_transport(&self) -> Result<LinkEnd> {
         if self.loop_handles.iter().any(JoinHandle::is_finished) {
             return Err(MqttError::BrokerUnavailable);
         }
-        let conn_id = self.next_conn.fetch_add(1, Ordering::Relaxed);
-        BrokerCounters::bump(&self.counters.connections_total);
-        BrokerCounters::bump(&self.counters.connections_current);
-        let home = (conn_id % self.handles.len() as u64) as usize;
-        let target = Arc::new(AtomicUsize::new(home));
-        // Install the notify hook *before* splitting: every frame the
-        // client sends from here on nudges the shard that owns the
-        // connection (the home shard retargets on migration).
-        let hook_target = Arc::clone(&target);
-        let hook_handles = self.handles.clone();
-        end.set_incoming_notify(Arc::new(move || {
-            let shard = hook_target.load(Ordering::Acquire);
-            hook_handles[shard].send(Event::LinkNotify(conn_id));
-        }));
-        let (sender, receiver) = end.split();
-        if !self.handles[home].send(Event::LinkAttach {
-            conn: conn_id,
-            sender,
-            receiver,
-            target,
-        }) {
-            self.counters
-                .connections_current
-                .fetch_sub(1, Ordering::Relaxed);
+        let (client_end, broker_end) =
+            UnixStream::pair().map_err(|_| MqttError::BrokerUnavailable)?;
+        if !hand_off(
+            &self.handles,
+            &self.counters,
+            &self.next_conn,
+            Stream::Unix(broker_end),
+        ) {
             return Err(MqttError::BrokerUnavailable);
         }
-        Ok(())
+        Ok(LinkEnd::new(Stream::Unix(client_end)))
     }
 
     /// Binds a TCP listener and starts accepting real socket connections.
@@ -512,12 +458,8 @@ impl Broker {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    let conn = next_conn.fetch_add(1, Ordering::Relaxed);
-                    BrokerCounters::bump(&counters.connections_total);
-                    BrokerCounters::bump(&counters.connections_current);
-                    let home = (conn % handles.len() as u64) as usize;
-                    if !handles[home].send(Event::TcpAccept { conn, stream }) {
-                        counters.connections_current.fetch_sub(1, Ordering::Relaxed);
+                    let _ = stream.set_nodelay(true);
+                    if !hand_off(&handles, &counters, &next_conn, Stream::Tcp(stream)) {
                         break;
                     }
                 }
@@ -620,6 +562,25 @@ impl Drop for Broker {
     }
 }
 
+/// Gives a fresh connection an id and hands it to its provisional home
+/// shard. Returns false when that shard's mailbox is gone.
+fn hand_off(
+    handles: &[ShardHandle],
+    counters: &BrokerCounters,
+    next_conn: &AtomicU64,
+    stream: Stream,
+) -> bool {
+    let conn = next_conn.fetch_add(1, Ordering::Relaxed);
+    BrokerCounters::bump(&counters.connections_total);
+    BrokerCounters::bump(&counters.connections_current);
+    let home = (conn % handles.len() as u64) as usize;
+    if !handles[home].send(Event::Accept { conn, stream }) {
+        counters.connections_current.fetch_sub(1, Ordering::Relaxed);
+        return false;
+    }
+    true
+}
+
 /// Per-publish encode-once frame cache: QoS 0 frames are shared `Bytes`
 /// (no packet id), QoS 1/2 frames share a [`PublishTemplate`] and stamp
 /// each subscriber's packet id into a copy. Keyed by the retain flag,
@@ -703,29 +664,16 @@ struct ConnState {
     /// True while a will registration is WAL-logged for this connection;
     /// discharged (WillClear) when the will fires or is suppressed.
     will_registered: bool,
-    /// In-process link receive half (`None` for TCP connections, whose
-    /// reads are driven by the poller instead of notify events).
-    link_rx: Option<FrameReceiver>,
 }
 
-/// A link connection parked on its home shard awaiting CONNECT.
-struct PendingLink {
-    sender: FrameSender,
-    receiver: FrameReceiver,
-    /// Shard index the link's incoming-frame hook targets; stored to the
-    /// owner shard when the connection migrates.
-    target: Arc<AtomicUsize>,
-}
-
-/// Reactor-side state of one TCP connection: the nonblocking socket, its
-/// partial-frame read buffer, and the in-progress write queue.
-struct TcpConn {
-    stream: TcpStream,
-    /// Accumulated unparsed bytes (partial frames survive here between
-    /// readiness events).
-    rbuf: Vec<u8>,
+/// Reactor-side state of one connection: the nonblocking socket, its
+/// partial-frame reader, and the in-progress write queue.
+struct SocketConn {
+    stream: Stream,
+    /// Partial frames survive here between readiness events.
+    reader: FrameReader,
     /// Outbound queue shared with every routing shard's [`FrameSender`].
-    out: Arc<TcpOutbound>,
+    out: Arc<Outbound>,
     /// Frames drained from `out` and currently being written.
     writing: VecDeque<Bytes>,
     /// Bytes of `writing.front()` already written.
@@ -737,7 +685,7 @@ struct TcpConn {
 }
 
 /// Reactor plumbing handed to one shard: its poller, the wake-pipe
-/// receive half, and the write scheduler TCP senders flush through.
+/// receive half, and the write scheduler senders flush through.
 struct ShardIo {
     poller: Poller,
     wake_rx: WakeReceiver,
@@ -751,7 +699,7 @@ struct ShardCore {
     shard: usize,
     max_queued_per_session: usize,
     keepalive_grace: f64,
-    tcp_write_hwm: u64,
+    write_hwm: u64,
     counters: Arc<BrokerCounters>,
     index: Arc<SharedIndex>,
     handles: Vec<ShardHandle>,
@@ -759,13 +707,9 @@ struct ShardCore {
     wake_rx: WakeReceiver,
     write_sched: Arc<WriteScheduler>,
     conns: HashMap<ConnId, ConnState>,
-    /// Connections (link or TCP) parked here until their CONNECT arrives.
-    pending_links: HashMap<ConnId, PendingLink>,
-    /// Link connections this (home) shard migrated away: notify events
-    /// that still land here are forwarded to the owner shard.
-    migrated: HashMap<ConnId, usize>,
-    /// TCP connections whose sockets this shard's poller owns.
-    tcp: HashMap<ConnId, TcpConn>,
+    /// Connections whose sockets this shard's poller owns, gated ones
+    /// (awaiting CONNECT) included.
+    sockets: HashMap<ConnId, SocketConn>,
     /// Armed fault-delay timers, earliest first.
     timers: BinaryHeap<Reverse<TimerEntry>>,
     timer_seq: u64,
@@ -806,7 +750,7 @@ impl ShardCore {
             shard,
             max_queued_per_session: config.max_queued_per_session,
             keepalive_grace: config.keepalive_grace,
-            tcp_write_hwm: config.tcp_write_hwm as u64,
+            write_hwm: config.tcp_write_hwm as u64,
             counters: Arc::clone(counters),
             index: Arc::clone(index),
             handles,
@@ -814,9 +758,7 @@ impl ShardCore {
             wake_rx: io.wake_rx,
             write_sched: io.write_sched,
             conns: HashMap::new(),
-            pending_links: HashMap::new(),
-            migrated: HashMap::new(),
-            tcp: HashMap::new(),
+            sockets: HashMap::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
             by_client: HashMap::new(),
@@ -875,9 +817,9 @@ impl ShardCore {
             // coalesced batch per target shard (events handled on the next
             // pass flush then).
             self.flush_hops();
-            // Flush every TCP connection a routing shard scheduled.
+            // Flush every connection a routing shard scheduled.
             for conn in self.write_sched.take() {
-                self.flush_tcp(conn);
+                self.flush(conn);
             }
             // Fire due deadlines before parking.
             let now = Instant::now();
@@ -910,58 +852,30 @@ impl ShardCore {
                     continue;
                 }
                 if ev.readable {
-                    self.tcp_readable(ev.token);
+                    self.readable(ev.token);
                 }
                 if ev.writable {
-                    self.tcp_writable(ev.token);
+                    self.flush(ev.token);
                 }
             }
         }
         // Close every connection so clients observe disconnection.
         self.conns.clear();
-        self.tcp.clear();
+        self.sockets.clear();
     }
 
     /// Handles one event; returns false on shutdown.
     fn handle(&mut self, event: Event) -> bool {
         match event {
-            Event::LinkAttach {
-                conn,
-                sender,
-                receiver,
-                target,
-            } => {
-                self.pending_links.insert(
-                    conn,
-                    PendingLink {
-                        sender,
-                        receiver,
-                        target,
-                    },
-                );
-                // Frames may have arrived before the attach event did.
-                self.on_link_notify(conn);
-            }
-            Event::LinkNotify(conn) => self.on_link_notify(conn),
-            Event::LinkMigrate {
-                conn,
-                sender,
-                receiver,
-                connect,
-                rest,
-            } => self.on_link_migrate(conn, sender, receiver, *connect, rest),
-            Event::TcpAccept { conn, stream } => self.on_tcp_accept(conn, stream),
-            Event::TcpMigrate {
+            Event::Accept { conn, stream } => self.on_accept(conn, stream),
+            Event::Migrate {
                 conn,
                 stream,
-                rbuf,
+                reader,
                 out,
                 connect,
-            } => self.on_tcp_migrate(conn, stream, rbuf, out, *connect),
+            } => self.on_migrate(conn, stream, reader, out, *connect),
             Event::ConnClosed(conn) => self.close_transport(conn),
-            Event::ConnGone(conn) => {
-                self.migrated.remove(&conn);
-            }
             Event::Deliver(batch) => {
                 for d in batch {
                     self.on_deliver(d);
@@ -985,169 +899,26 @@ impl ShardCore {
         true
     }
 
-    /// One link frame (or hangup) is ready. Exactly one frame is popped
-    /// per notify — the link fires one notify per send and one on drop, so
-    /// notifies ≥ frames + 1 and the final pop observes the hangup.
-    fn on_link_notify(&mut self, conn: ConnId) {
-        if let Some(&owner) = self.migrated.get(&conn) {
-            // Raced a migration: the hook already targets the owner for
-            // new frames; forward this stale nudge along.
-            self.handles[owner].send(Event::LinkNotify(conn));
-            return;
-        }
-        if self.pending_links.contains_key(&conn) {
-            self.gate_link_connect(conn);
-            return;
-        }
-        let Some(rx) = self.conns.get(&conn).and_then(|c| c.link_rx.as_ref()) else {
-            return;
-        };
-        match rx.try_recv_frame() {
-            TryRecv::Frame(frame) => self.process_frame_packets(conn, frame),
-            TryRecv::Empty => {}
-            TryRecv::Closed => self.on_conn_closed(conn),
-        }
-    }
-
-    /// CONNECT gate for a parked link connection: pop one frame, decode,
-    /// and either register locally, migrate to the owner shard, or drop
-    /// the protocol violator.
-    fn gate_link_connect(&mut self, conn: ConnId) {
-        let frame = {
-            let Some(pend) = self.pending_links.get(&conn) else {
-                return;
-            };
-            match pend.receiver.try_recv_frame() {
-                TryRecv::Frame(frame) => frame,
-                TryRecv::Empty => return,
-                TryRecv::Closed => {
-                    self.drop_pending_link(conn);
-                    return;
-                }
-            }
-        };
-        let Ok((packet, used)) = codec::decode(&frame) else {
-            self.drop_pending_link(conn);
-            return;
-        };
-        let rest = if used < frame.len() {
-            frame.slice(used..)
-        } else {
-            Bytes::new()
-        };
-        match packet {
-            Packet::Connect(c) if c.client_id.is_empty() => {
-                if let Some(pend) = self.pending_links.remove(&conn) {
-                    let _ = pend.sender.send_packet(&Packet::Connack(Connack {
-                        session_present: false,
-                        code: ConnectReturnCode::IdentifierRejected,
-                    }));
-                }
-                self.counters
-                    .connections_current
-                    .fetch_sub(1, Ordering::Relaxed);
-            }
-            Packet::Connect(c) => {
-                let Some(pend) = self.pending_links.remove(&conn) else {
-                    return;
-                };
-                let owner = shard_of(&c.client_id, self.handles.len());
-                if owner == self.shard {
-                    self.on_register(conn, pend.sender, c, Some(pend.receiver));
-                    if !rest.is_empty() {
-                        self.process_frame_packets(conn, rest);
-                    }
-                } else {
-                    // Order matters: record the forwarding entry, hand the
-                    // connection over, then retarget the notify hook. Any
-                    // nudge that still lands here is forwarded.
-                    self.migrated.insert(conn, owner);
-                    self.handles[owner].send(Event::LinkMigrate {
-                        conn,
-                        sender: pend.sender,
-                        receiver: pend.receiver,
-                        connect: Box::new(c),
-                        rest,
-                    });
-                    pend.target.store(owner, Ordering::Release);
-                }
-            }
-            _ => {
-                // Any packet before CONNECT is a protocol violation.
-                self.drop_pending_link(conn);
-            }
-        }
-    }
-
-    /// Discards a still-gated link connection (hangup or violation before
-    /// CONNECT): it never reached a shard's connection table, so this
-    /// shard owns the counter decrement.
-    fn drop_pending_link(&mut self, conn: ConnId) {
-        if self.pending_links.remove(&conn).is_some() {
-            self.counters
-                .connections_current
-                .fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// A gated link connection arrives at its owner shard.
-    fn on_link_migrate(
-        &mut self,
-        conn: ConnId,
-        sender: FrameSender,
-        receiver: FrameReceiver,
-        connect: Connect,
-        rest: Bytes,
-    ) {
-        self.on_register(conn, sender, connect, Some(receiver));
-        if !rest.is_empty() {
-            self.process_frame_packets(conn, rest);
-        }
-    }
-
-    /// Decodes and handles every packet in one frame. Stops early when a
-    /// packet closes the connection.
-    fn process_frame_packets(&mut self, conn: ConnId, frame: Bytes) {
-        let mut rest = frame;
-        loop {
-            let Ok((packet, used)) = codec::decode(&rest) else {
-                self.on_conn_closed(conn);
-                return;
-            };
-            self.on_packet(conn, packet);
-            if !self.conns.contains_key(&conn) || used >= rest.len() {
-                return;
-            }
-            rest = rest.slice(used..);
-        }
-    }
-
-    /// A fresh TCP socket lands on its provisional home shard: make it
+    /// A fresh connection lands on its provisional home shard: make it
     /// nonblocking, register it with the poller, and gate on CONNECT.
-    fn on_tcp_accept(&mut self, conn: ConnId, stream: TcpStream) {
-        if stream.set_nonblocking(true).is_err() {
-            self.counters
-                .connections_current
-                .fetch_sub(1, Ordering::Relaxed);
-            return;
-        }
-        let _ = stream.set_nodelay(true);
-        let out = TcpOutbound::new(conn, self.tcp_write_hwm, Arc::clone(&self.write_sched));
-        if self
-            .poller
-            .add(stream.as_raw_fd(), conn, true, false)
-            .is_err()
+    fn on_accept(&mut self, conn: ConnId, stream: Stream) {
+        if stream.set_nonblocking(true).is_err()
+            || self
+                .poller
+                .add(stream.as_raw_fd(), conn, true, false)
+                .is_err()
         {
             self.counters
                 .connections_current
                 .fetch_sub(1, Ordering::Relaxed);
             return;
         }
-        self.tcp.insert(
+        let out = Outbound::new(conn, self.write_hwm, Arc::clone(&self.write_sched));
+        self.sockets.insert(
             conn,
-            TcpConn {
+            SocketConn {
                 stream,
-                rbuf: Vec::new(),
+                reader: FrameReader::default(),
                 out,
                 writing: VecDeque::new(),
                 wr_off: 0,
@@ -1157,14 +928,14 @@ impl ShardCore {
         );
     }
 
-    /// A gated TCP connection arrives at its owner shard with its read
-    /// buffer and outbound queue intact.
-    fn on_tcp_migrate(
+    /// A gated connection arrives at its owner shard with its read buffer
+    /// and outbound queue intact.
+    fn on_migrate(
         &mut self,
         conn: ConnId,
-        stream: TcpStream,
-        rbuf: Vec<u8>,
-        out: Arc<TcpOutbound>,
+        stream: Stream,
+        reader: FrameReader,
+        out: Arc<Outbound>,
         connect: Connect,
     ) {
         // Retarget first: pushes that raced the handover scheduled a flush
@@ -1182,11 +953,11 @@ impl ShardCore {
                 .fetch_sub(1, Ordering::Relaxed);
             return;
         }
-        self.tcp.insert(
+        self.sockets.insert(
             conn,
-            TcpConn {
+            SocketConn {
                 stream,
-                rbuf,
+                reader,
                 out: Arc::clone(&out),
                 writing: VecDeque::new(),
                 wr_off: 0,
@@ -1194,106 +965,76 @@ impl ShardCore {
                 registered: true,
             },
         );
-        self.on_register(conn, FrameSender::from_tcp(out), connect, None);
+        self.on_register(conn, FrameSender::new(out), connect);
         // Pipelined packets may already sit in the read buffer.
-        self.drain_tcp_rbuf(conn);
-        if self.tcp.contains_key(&conn) {
-            self.flush_tcp(conn);
-        }
+        self.drain_frames(conn);
+        self.flush(conn);
     }
 
-    /// Socket readable: pull every available byte into the read buffer,
-    /// then decode whole frames. EOF or a read error closes the
-    /// connection after processing what arrived.
-    fn tcp_readable(&mut self, conn: ConnId) {
-        let mut eof = false;
-        {
-            let Some(tc) = self.tcp.get_mut(&conn) else {
-                return;
-            };
-            let mut chunk = [0u8; 16384];
-            let mut total = 0usize;
-            loop {
-                match tc.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        tc.rbuf.extend_from_slice(&chunk[..n]);
-                        total += n;
-                        // Yield to other connections after 1 MiB; the
-                        // level-triggered poller re-reports readiness.
-                        if total >= 1 << 20 {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        eof = true;
-                        break;
-                    }
-                }
-            }
-        }
-        self.drain_tcp_rbuf(conn);
-        if eof {
-            self.close_transport(conn);
-        }
-    }
-
-    /// Decodes every complete frame in the read buffer. TCP frames are
-    /// single packets (framed by [`codec::frame_length`]).
-    fn drain_tcp_rbuf(&mut self, conn: ConnId) {
-        enum Step {
-            Frame(Bytes, bool),
-            Done,
-            Bad(bool),
-        }
+    /// Socket readable: read and handle whole frames until the socket is
+    /// drained. EOF or a read error closes the connection.
+    fn readable(&mut self, conn: ConnId) {
+        let mut total = 0usize;
         loop {
-            let step = {
-                let Some(tc) = self.tcp.get_mut(&conn) else {
-                    return;
-                };
-                match codec::frame_length(&tc.rbuf) {
-                    Ok(Some(len)) if tc.rbuf.len() >= len => {
-                        let bytes: Vec<u8> = tc.rbuf.drain(..len).collect();
-                        Step::Frame(Bytes::from(bytes), tc.registered)
-                    }
-                    Ok(_) => Step::Done,
-                    Err(_) => Step::Bad(tc.registered),
-                }
+            let res = match self.sockets.get_mut(&conn) {
+                Some(sc) => sc.reader.read_from(&sc.stream),
+                None => return,
             };
-            match step {
-                Step::Frame(frame, true) => self.process_frame_packets(conn, frame),
-                Step::Frame(frame, false) => self.gate_tcp_connect(conn, frame),
-                Step::Done => return,
-                Step::Bad(true) => {
-                    self.on_conn_closed(conn);
-                    return;
+            match res {
+                Ok((0, _)) => break,
+                Ok((n, more)) => {
+                    self.drain_frames(conn);
+                    total += n;
+                    // Stop once the socket looks drained, or yield to other
+                    // connections after 1 MiB: the level-triggered poller
+                    // re-reports readiness (and EOF).
+                    if !more || total >= 1 << 20 {
+                        return;
+                    }
                 }
-                Step::Bad(false) => {
-                    self.teardown_pre_tcp(conn);
-                    return;
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => break,
             }
-            if !self.tcp.contains_key(&conn) && !self.conns.contains_key(&conn) {
-                return;
+        }
+        self.close_transport(conn);
+    }
+
+    /// Handles every complete frame in the connection's read buffer: the
+    /// CONNECT gate while the connection is gated, packets after.
+    fn drain_frames(&mut self, conn: ConnId) {
+        loop {
+            let (next, registered) = match self.sockets.get_mut(&conn) {
+                Some(sc) => (sc.reader.next_frame(), sc.registered),
+                None => return,
+            };
+            match next {
+                Ok(Some(frame)) if registered => match codec::decode(&frame) {
+                    Ok((packet, _)) => self.on_packet(conn, packet),
+                    Err(_) => self.on_conn_closed(conn),
+                },
+                Ok(Some(frame)) => self.gate_connect(conn, frame),
+                Ok(None) => return,
+                Err(_) => {
+                    self.close_transport(conn);
+                    return;
+                }
             }
         }
     }
 
-    /// CONNECT gate for a TCP connection parked on its home shard.
-    fn gate_tcp_connect(&mut self, conn: ConnId, frame: Bytes) {
+    /// The CONNECT gate for a connection parked on its home shard: accept
+    /// it here, migrate it to its owner shard, or drop it (a rejected id,
+    /// or any packet before CONNECT).
+    fn gate_connect(&mut self, conn: ConnId, frame: Bytes) {
         let Ok((packet, _)) = codec::decode(&frame) else {
-            self.teardown_pre_tcp(conn);
+            self.teardown_gated(conn);
             return;
         };
         match packet {
             Packet::Connect(c) if c.client_id.is_empty() => {
-                if let Some(tc) = self.tcp.get(&conn) {
-                    let sender = FrameSender::from_tcp(Arc::clone(&tc.out));
+                if let Some(sc) = self.sockets.get(&conn) {
+                    let sender = FrameSender::new(Arc::clone(&sc.out));
                     let _ = sender.send_packet(&Packet::Connack(Connack {
                         session_present: false,
                         code: ConnectReturnCode::IdentifierRejected,
@@ -1301,37 +1042,37 @@ impl ShardCore {
                 }
                 // Best-effort: push the rejection onto the wire before
                 // tearing the socket down.
-                self.flush_tcp(conn);
-                self.teardown_pre_tcp(conn);
+                self.flush(conn);
+                self.teardown_gated(conn);
             }
             Packet::Connect(c) => {
                 let owner = shard_of(&c.client_id, self.handles.len());
                 if owner == self.shard {
                     let out = {
-                        let Some(tc) = self.tcp.get_mut(&conn) else {
+                        let Some(sc) = self.sockets.get_mut(&conn) else {
                             return;
                         };
-                        tc.registered = true;
-                        Arc::clone(&tc.out)
+                        sc.registered = true;
+                        Arc::clone(&sc.out)
                     };
                     // If registration itself closed the connection, the
                     // caller's drain loop notices via its liveness check.
-                    self.on_register(conn, FrameSender::from_tcp(out), c, None);
+                    self.on_register(conn, FrameSender::new(out), c);
                 } else {
-                    let Some(tc) = self.tcp.remove(&conn) else {
+                    let Some(sc) = self.sockets.remove(&conn) else {
                         return;
                     };
-                    let _ = self.poller.remove(tc.stream.as_raw_fd());
-                    self.handles[owner].send(Event::TcpMigrate {
+                    let _ = self.poller.remove(sc.stream.as_raw_fd());
+                    self.handles[owner].send(Event::Migrate {
                         conn,
-                        stream: tc.stream,
-                        rbuf: tc.rbuf,
-                        out: tc.out,
+                        stream: sc.stream,
+                        reader: sc.reader,
+                        out: sc.out,
                         connect: Box::new(c),
                     });
                 }
             }
-            _ => self.teardown_pre_tcp(conn),
+            _ => self.teardown_gated(conn),
         }
     }
 
@@ -1340,31 +1081,32 @@ impl ShardCore {
     fn close_transport(&mut self, conn: ConnId) {
         if self.conns.contains_key(&conn) {
             self.on_conn_closed(conn);
-        } else if self.tcp.contains_key(&conn) {
-            self.teardown_pre_tcp(conn);
+        } else {
+            self.teardown_gated(conn);
         }
     }
 
-    /// Tears down a TCP connection that never completed CONNECT: it is
-    /// absent from every connection table, so this shard decrements the
+    /// Tears down a connection that never completed CONNECT: it is absent
+    /// from every connection table, so this shard decrements the
     /// connection counter itself.
-    fn teardown_pre_tcp(&mut self, conn: ConnId) {
-        if self.teardown_tcp(conn) {
+    fn teardown_gated(&mut self, conn: ConnId) {
+        if self.teardown_socket(conn) {
             self.counters
                 .connections_current
                 .fetch_sub(1, Ordering::Relaxed);
         }
     }
 
-    /// Removes a TCP connection's socket state (poller registration,
-    /// outbound queue). Returns true when the connection was present.
-    fn teardown_tcp(&mut self, conn: ConnId) -> bool {
-        let Some(tc) = self.tcp.remove(&conn) else {
+    /// Removes a connection's socket state (poller registration, outbound
+    /// queue); dropping the socket closes it. Returns true when the
+    /// connection was present.
+    fn teardown_socket(&mut self, conn: ConnId) -> bool {
+        let Some(sc) = self.sockets.remove(&conn) else {
             return false;
         };
-        let _ = self.poller.remove(tc.stream.as_raw_fd());
-        tc.out.mark_closed();
-        if tc.out.take_eviction_count() {
+        let _ = self.poller.remove(sc.stream.as_raw_fd());
+        sc.out.mark_closed();
+        if sc.out.take_eviction_count() {
             BrokerCounters::bump(&self.counters.slow_consumer_evictions);
         }
         true
@@ -1374,34 +1116,34 @@ impl ShardCore {
     /// writes. On `WouldBlock` the poller starts watching writability; a
     /// high-water-mark breach evicts the slow consumer (ungraceful, so
     /// its will fires); a dead socket closes the connection.
-    fn flush_tcp(&mut self, conn: ConnId) {
+    fn flush(&mut self, conn: ConnId) {
         let mut evict = false;
         let mut dead = false;
         {
-            let Some(tc) = self.tcp.get_mut(&conn) else {
+            let Some(sc) = self.sockets.get_mut(&conn) else {
                 return;
             };
-            tc.out.begin_flush();
-            tc.out.drain_into(&mut tc.writing);
-            if tc.out.is_evicted() {
+            sc.out.begin_flush();
+            sc.out.drain_into(&mut sc.writing);
+            if sc.out.is_evicted() {
                 evict = true;
             } else {
-                let fd = tc.stream.as_raw_fd();
+                let fd = sc.stream.as_raw_fd();
                 loop {
-                    if tc.writing.is_empty() {
+                    if sc.writing.is_empty() {
                         break;
                     }
                     let res = {
                         let mut slices: Vec<IoSlice<'_>> =
-                            Vec::with_capacity(32.min(tc.writing.len()));
-                        let mut iter = tc.writing.iter();
+                            Vec::with_capacity(32.min(sc.writing.len()));
+                        let mut iter = sc.writing.iter();
                         if let Some(first) = iter.next() {
-                            slices.push(IoSlice::new(&first[tc.wr_off..]));
+                            slices.push(IoSlice::new(&first[sc.wr_off..]));
                         }
                         for b in iter.take(31) {
                             slices.push(IoSlice::new(b));
                         }
-                        tc.stream.write_vectored(&slices)
+                        (&sc.stream).write_vectored(&slices)
                     };
                     match res {
                         Ok(0) => {
@@ -1409,23 +1151,23 @@ impl ShardCore {
                             break;
                         }
                         Ok(n) => {
-                            tc.out.note_written(n as u64);
+                            sc.out.note_written(n as u64);
                             let mut left = n;
                             while left > 0 {
-                                let front_len = tc.writing[0].len() - tc.wr_off;
+                                let front_len = sc.writing[0].len() - sc.wr_off;
                                 if left >= front_len {
-                                    tc.writing.pop_front();
-                                    tc.wr_off = 0;
+                                    sc.writing.pop_front();
+                                    sc.wr_off = 0;
                                     left -= front_len;
                                 } else {
-                                    tc.wr_off += left;
+                                    sc.wr_off += left;
                                     left = 0;
                                 }
                             }
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            if !tc.want_write {
-                                tc.want_write = true;
+                            if !sc.want_write {
+                                sc.want_write = true;
                                 let _ = self.poller.modify(fd, conn, true, true);
                             }
                             break;
@@ -1437,29 +1179,15 @@ impl ShardCore {
                         }
                     }
                 }
-                if tc.writing.is_empty() && tc.want_write && !dead {
-                    tc.want_write = false;
+                if sc.writing.is_empty() && sc.want_write && !dead {
+                    sc.want_write = false;
                     let _ = self.poller.modify(fd, conn, true, false);
                 }
             }
         }
-        if evict {
-            if self
-                .tcp
-                .get(&conn)
-                .is_some_and(|tc| tc.out.take_eviction_count())
-            {
-                BrokerCounters::bump(&self.counters.slow_consumer_evictions);
-            }
-            self.close_transport(conn);
-        } else if dead {
+        if evict || dead {
             self.close_transport(conn);
         }
-    }
-
-    /// Socket writable again after backpressure: resume the flush.
-    fn tcp_writable(&mut self, conn: ConnId) {
-        self.flush_tcp(conn);
     }
 
     /// Fires every elapsed fault-delay timer (earliest first; ties in
@@ -1572,13 +1300,7 @@ impl ShardCore {
             .min();
     }
 
-    fn on_register(
-        &mut self,
-        conn_id: ConnId,
-        sender: FrameSender,
-        c: Connect,
-        link_rx: Option<FrameReceiver>,
-    ) {
+    fn on_register(&mut self, conn_id: ConnId, sender: FrameSender, c: Connect) {
         // Session takeover: disconnect any live connection with this id
         // (always shard-local — same id, same shard).
         if let Some(&old) = self.by_client.get(&c.client_id) {
@@ -1655,7 +1377,6 @@ impl ShardCore {
             will_registered: c.will.is_some(),
             will: c.will,
             graceful: false,
-            link_rx,
         };
         // Fold the newcomer into the cached earliest deadline (the only
         // mutation that can move the minimum *earlier*).
@@ -2358,16 +2079,7 @@ impl ShardCore {
         self.counters
             .connections_current
             .fetch_sub(1, Ordering::Relaxed);
-        // Tear down the transport: a TCP socket leaves the poller; a link
-        // that migrated here tells its home shard to drop the forwarding
-        // entry.
-        self.teardown_tcp(conn_id);
-        if conn.link_rx.is_some() {
-            let home = (conn_id % self.handles.len() as u64) as usize;
-            if home != self.shard {
-                self.handles[home].send(Event::ConnGone(conn_id));
-            }
-        }
+        self.teardown_socket(conn_id);
 
         let will = if conn.graceful {
             None
@@ -3001,9 +2713,15 @@ mod tests {
 
     #[test]
     fn qos0_fanout_shares_one_encoded_frame() {
-        // Encode-once: all QoS0 subscribers of one publish receive the
-        // exact same frame bytes (shared `Bytes`), and payload counters
-        // reflect every delivery.
+        // Encode-once: one publish's QoS0 frame is encoded once and the
+        // same allocation is queued for every subscriber...
+        let payload = Bytes::from_static(b"shared-bytes");
+        let mut cache = FanoutFrames::new(&TopicName::new("enc").unwrap(), &payload);
+        let first = cache.qos0_frame(false, &payload).unwrap();
+        let again = cache.qos0_frame(false, &payload).unwrap();
+        assert_eq!(first.as_ptr(), again.as_ptr(), "frame allocation is shared");
+        // ...so every subscriber receives exactly those bytes, and payload
+        // counters reflect every delivery.
         let broker = Broker::start_default();
         let subs: Vec<RawClient> = (0..5)
             .map(|i| {
@@ -3022,10 +2740,8 @@ mod tests {
                     .expect("frame")
             })
             .collect();
-        for f in &frames[1..] {
-            assert_eq!(&f[..], &frames[0][..]);
-            // The shim's Bytes shares one allocation across clones.
-            assert_eq!(f.as_ptr(), frames[0].as_ptr(), "frame allocation is shared");
+        for f in &frames {
+            assert_eq!(f, &first);
         }
         assert_eq!(
             broker.stats().payload_bytes_out,

@@ -25,7 +25,7 @@ use crate::codec;
 use crate::error::{ConnectReturnCode, MqttError, Result};
 use crate::packet::*;
 use crate::topic::{TopicFilter, TopicName};
-use crate::transport::{FrameReceiver, FrameSender, LinkEnd};
+use crate::transport::{FrameReceiver, LinkEnd, LinkWriter};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
@@ -96,7 +96,7 @@ struct Pending {
 
 struct Inner {
     /// Current transport send half; swapped wholesale on reconnect.
-    sender: RwLock<FrameSender>,
+    sender: RwLock<LinkWriter>,
     client_id: String,
     connected: AtomicBool,
     /// Set by [`Client::disconnect`]: suppresses redialing for good.

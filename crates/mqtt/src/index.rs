@@ -406,7 +406,6 @@ impl Changed {
 mod tests {
     use super::*;
     use crate::topic::TopicName;
-    use crate::transport::link;
     use bytes::Bytes;
 
     fn f(s: &str) -> TopicFilter {
@@ -416,12 +415,9 @@ mod tests {
         TopicName::new(s).unwrap()
     }
 
+    /// Tests only inspect routing metadata, never send.
     fn sender() -> FrameSender {
-        let (a, _b) = link();
-        // Leak the peer so the sender stays "connected" for the test's
-        // lifetime; tests only inspect routing metadata.
-        std::mem::forget(_b);
-        a.split().0
+        FrameSender::closed().unwrap()
     }
 
     #[test]

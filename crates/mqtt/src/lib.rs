@@ -12,8 +12,9 @@
 //!   handler-based dispatch;
 //! * [`bridge::Bridge`] — broker bridging with loop prevention, used to
 //!   regionalize SDFL clusters (paper §III.F);
-//! * a real wire [`codec`]: every message crossing an in-process
-//!   [`transport::LinkEnd`] is a fully encoded MQTT frame.
+//! * a real wire [`codec`]: every client, in-process or remote, talks to
+//!   the broker over a byte stream ([`transport::LinkEnd`]), so every
+//!   message is a fully encoded MQTT frame on one broker code path.
 //!
 //! ## Quick start
 //!

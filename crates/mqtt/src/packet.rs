@@ -1,9 +1,10 @@
 //! MQTT 3.1.1 control packet model.
 //!
-//! The embedded broker speaks real MQTT framing over its in-process links:
-//! every packet crossing a [`crate::transport::Link`] is encoded to bytes by
-//! [`crate::codec`] and decoded on the other side, so the wire format is
-//! exercised on every message in every test.
+//! The embedded broker speaks real MQTT framing over every connection,
+//! in-process socket pairs included: every packet crossing a
+//! [`crate::transport::LinkEnd`] is encoded to bytes by [`crate::codec`]
+//! and decoded on the other side, so the wire format is exercised on every
+//! message in every test.
 
 use crate::error::ConnectReturnCode;
 use crate::topic::{TopicFilter, TopicName};

@@ -74,7 +74,9 @@ pub struct Persistence {
     /// persistence entirely.
     pub dir: Option<PathBuf>,
     /// Records appended to a stream since its last snapshot before the
-    /// stream is compacted again.
+    /// stream is compacted again. A stream whose last snapshot held more
+    /// records waits for that many instead, so compaction work stays
+    /// proportional to log growth however large the state is.
     pub snapshot_every: u64,
     /// Fsync policy for the persistence thread.
     pub durability: Durability,

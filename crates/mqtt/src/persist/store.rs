@@ -91,6 +91,10 @@ struct QueueState {
     synced: u64,
     /// Appends since the last compaction was enqueued.
     since_snapshot: u64,
+    /// Records in the last compaction: the stream compacts again only
+    /// once it has logged at least as many, so re-serializing a large
+    /// state costs amortized O(1) per append.
+    snapshot_len: u64,
 }
 
 /// One bounded per-stream queue. The condvar serves both waiter kinds:
@@ -186,7 +190,7 @@ impl Inner {
         st.enqueued += 1;
         st.since_snapshot += 1;
         let depth = st.ops.len();
-        let compact = st.since_snapshot >= self.snapshot_every;
+        let compact = st.since_snapshot >= self.snapshot_every.max(st.snapshot_len);
         drop(st);
         BrokerCounters::raise(&self.counters.wal_queue_hwm, depth as u64);
         // Wake the worker only on the empty -> non-empty transition (a
@@ -207,6 +211,7 @@ impl Inner {
         }
         let q = &self.queues[idx];
         let mut st = q.state.lock();
+        st.snapshot_len = records.len() as u64;
         st.ops.push_back(WalOp::Compact(records));
         st.enqueued += 1;
         st.since_snapshot = 0;
@@ -373,9 +378,10 @@ impl PersistStore {
     }
 
     /// Enqueues one record for a shard's session stream. Returns true
-    /// when the stream has outgrown `snapshot_every` (or shed a record)
-    /// and the owning shard should call [`PersistStore::compact_shard`]
-    /// with its current state. Never touches the disk.
+    /// when the stream has outgrown both `snapshot_every` and its last
+    /// snapshot (or shed a record) and the owning shard should call
+    /// [`PersistStore::compact_shard`] with its current state. Never
+    /// touches the disk.
     pub fn append_shard(&self, shard: usize, rec: WalRecord) -> bool {
         self.inner.enqueue_append(shard, rec)
     }
@@ -822,6 +828,37 @@ mod tests {
         assert_eq!(watermark, 4);
         assert!(!snap.is_empty());
         assert_eq!(counters.snapshot().wal_snapshots, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn compaction_waits_for_the_log_to_outgrow_the_last_snapshot() {
+        let dir = temp_dir("compact-proportional");
+        let counters = Arc::new(BrokerCounters::default());
+        let config = cfg(&dir).snapshot_every(4);
+        let (store, _) = PersistStore::open(&dir, 1, &config, 64, counters).unwrap();
+        let enqueue = || {
+            store.append_shard(
+                0,
+                WalRecord::Enqueue {
+                    client: "bob".into(),
+                    topic: TopicName::new("t").unwrap(),
+                    qos: QoS::AtLeastOnce,
+                    payload: Bytes::from_static(b"m"),
+                },
+            )
+        };
+        // A 10-record state: the next compaction is due after 10
+        // appends, not after `snapshot_every` = 4.
+        let state: Vec<WalRecord> = (0..10)
+            .map(|_| WalRecord::SessionCreate {
+                client: "bob".into(),
+            })
+            .collect();
+        store.compact_shard(0, state);
+        let due: Vec<bool> = (0..10).map(|_| enqueue()).collect();
+        assert_eq!(due.iter().position(|&d| d), Some(9));
+        store.drain();
         std::fs::remove_dir_all(&dir).ok();
     }
 

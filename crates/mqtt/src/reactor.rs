@@ -1,7 +1,8 @@
 //! Readiness-driven I/O primitives for the broker's shard event loops.
 //!
 //! Each shard owns one [`Poller`] — a thin wrapper over the platform's
-//! readiness API — and multiplexes every TCP connection it owns, its
+//! readiness API — and multiplexes every connection it owns (TCP sockets
+//! and in-process socket pairs alike), its
 //! mailbox waker, keep-alive deadlines, and fault-delay timers on a
 //! single thread. No connection ever gets a dedicated thread: broker-side
 //! thread count is O(shards), not O(connections).
@@ -429,9 +430,8 @@ pub fn waker() -> io::Result<(WakeHandle, WakeReceiver)> {
     ))
 }
 
-/// Per-shard queue of connections with pending TCP writes. A
-/// [`crate::transport::FrameSender`] backed by a TCP connection pushes
-/// its connection id here (once per quiet period, deduplicated by an
+/// Per-shard queue of connections with pending writes. A
+/// [`crate::transport::FrameSender`] pushes its connection id here (once per quiet period, deduplicated by an
 /// atomic flag) and wakes the owner shard, which drains the queue and
 /// flushes each connection's write queue with vectored writes.
 pub(crate) struct WriteScheduler {

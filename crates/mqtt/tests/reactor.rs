@@ -1,25 +1,28 @@
 //! Integration tests for the readiness-driven reactor transport.
 //!
-//! The reactor replaces per-connection reader threads with one poll loop
-//! per shard, so these tests pin exactly the properties the refactor must
-//! not lose:
+//! The reactor serves every connection — accepted TCP sockets and
+//! in-process socket pairs alike — from one poll loop per shard, so these
+//! tests pin exactly the properties that design must not lose:
 //!
-//! * real TCP clients speak the same protocol as in-process links, at
+//! * TCP clients and in-process clients see the same deliveries, at
 //!   every shard count (differential multiset test, extending the
 //!   `sharding.rs` pattern to the socket path);
 //! * partial frames dribbled one byte at a time reassemble correctly
 //!   (the read state machine survives arbitrary segmentation);
+//! * a packet before CONNECT drops the connection;
 //! * broker-side thread count is O(shards), not O(connections);
 //! * a slow consumer that stops reading is evicted at the write
 //!   high-water mark, and the eviction is ungraceful — its will fires;
 //! * fault-injected delays ride the reactor timer heap, not a spawned
 //!   sleeper thread.
+//!
+//! The segmentation, gating and eviction tests run over both transports.
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 use sdflmq_mqtt::broker::{Broker, BrokerConfig};
 use sdflmq_mqtt::codec;
-use sdflmq_mqtt::error::ConnectReturnCode;
+use sdflmq_mqtt::error::{ConnectReturnCode, MqttError};
 use sdflmq_mqtt::fault::{FaultAction, FaultPlan, FaultRule};
 use sdflmq_mqtt::packet::*;
 use sdflmq_mqtt::topic::{TopicFilter, TopicName};
@@ -32,9 +35,39 @@ use std::time::{Duration, Instant};
 /// A received delivery, normalized for multiset comparison.
 type Recorded = (String, Vec<u8>, u8, bool);
 
-/// One synchronized test client over any [`LinkEnd`] transport (an
-/// in-process link or a `tcp_link` socket adapter): the reader thread
-/// records publishes and forwards handshake acks to the driver.
+/// The two ways a client reaches the broker.
+#[derive(Clone, Copy, Debug)]
+enum Transport {
+    Tcp,
+    InProcess,
+}
+
+/// Opens a raw connection (no CONNECT sent yet) over `transport`.
+fn open(broker: &Broker, addr: SocketAddr, transport: Transport) -> LinkEnd {
+    match transport {
+        Transport::Tcp => tcp_link(addr).unwrap(),
+        Transport::InProcess => broker.connect_transport().unwrap(),
+    }
+}
+
+/// CONNECT handshake over a raw connection.
+fn handshake(link: &LinkEnd, id: &str, will: Option<LastWill>) {
+    link.send_packet(&Packet::Connect(Connect {
+        client_id: id.to_owned(),
+        clean_session: true,
+        keep_alive: 0,
+        will,
+    }))
+    .unwrap();
+    match link.recv_packet_timeout(Duration::from_secs(30)).unwrap() {
+        Packet::Connack(c) => assert_eq!(c.code, ConnectReturnCode::Accepted),
+        other => panic!("expected connack, got {other:?}"),
+    }
+}
+
+/// One synchronized test client over any [`LinkEnd`] transport: the
+/// reader thread records publishes and forwards handshake acks to the
+/// driver.
 struct SyncClient {
     link: LinkEnd,
     received: Arc<Mutex<Vec<Recorded>>>,
@@ -43,17 +76,7 @@ struct SyncClient {
 
 impl SyncClient {
     fn over(link: LinkEnd, id: &str) -> SyncClient {
-        link.send_packet(&Packet::Connect(Connect {
-            client_id: id.to_owned(),
-            clean_session: true,
-            keep_alive: 0,
-            will: None,
-        }))
-        .unwrap();
-        match link.recv_packet_timeout(Duration::from_secs(30)).unwrap() {
-            Packet::Connack(c) => assert_eq!(c.code, ConnectReturnCode::Accepted),
-            other => panic!("expected connack, got {other:?}"),
-        }
+        handshake(&link, id, None);
         let received = Arc::new(Mutex::new(Vec::new()));
         let (ack_tx, acks) = crossbeam::channel::unbounded();
         let reader = link.clone();
@@ -223,21 +246,19 @@ fn tcp_pubsub_roundtrip_all_qos() {
     broker.shutdown();
 }
 
-#[test]
-fn tcp_partial_frames_reassemble_across_dribbled_bytes() {
+/// Hand-feeds CONNECT + PUBLISH one byte at a time: every readiness
+/// event delivers a partial frame the reactor must buffer.
+fn dribbled_bytes_reassemble(transport: Transport, name: &str) {
     let broker = Broker::start(BrokerConfig {
-        name: "rt2".to_owned(),
+        name: name.to_owned(),
         ..BrokerConfig::default()
     });
     let addr = broker.listen("127.0.0.1:0").unwrap();
 
-    let watcher = SyncClient::over(tcp_link(addr).unwrap(), "watcher");
+    let watcher = SyncClient::over(open(&broker, addr, transport), "watcher");
     watcher.subscribe("drib/#", QoS::AtMostOnce, 1);
 
-    // Hand-feed CONNECT + SUBSCRIBE + PUBLISH one byte at a time: every
-    // readiness event delivers a partial frame the reactor must buffer.
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_nodelay(true).unwrap();
+    let dribbler = open(&broker, addr, transport);
     let mut wire = Vec::new();
     wire.extend_from_slice(
         &codec::encode(&Packet::Connect(Connect {
@@ -260,8 +281,7 @@ fn tcp_partial_frames_reassemble_across_dribbled_bytes() {
         .unwrap(),
     );
     for b in wire {
-        stream.write_all(&[b]).unwrap();
-        stream.flush().unwrap();
+        dribbler.send_frame(Bytes::copy_from_slice(&[b])).unwrap();
         std::thread::sleep(Duration::from_millis(1));
     }
 
@@ -280,6 +300,56 @@ fn tcp_partial_frames_reassemble_across_dribbled_bytes() {
         )]
     );
     broker.shutdown();
+}
+
+#[test]
+fn tcp_partial_frames_reassemble_across_dribbled_bytes() {
+    dribbled_bytes_reassemble(Transport::Tcp, "rt2");
+}
+
+#[test]
+fn in_process_partial_frames_reassemble_across_dribbled_bytes() {
+    dribbled_bytes_reassemble(Transport::InProcess, "rt2i");
+}
+
+/// Any packet before CONNECT is a protocol violation: the broker closes
+/// the connection without answering.
+fn packet_before_connect_is_dropped(transport: Transport, name: &str) {
+    let broker = Broker::start(BrokerConfig {
+        name: name.to_owned(),
+        ..BrokerConfig::default()
+    });
+    let addr = broker.listen("127.0.0.1:0").unwrap();
+    let link = open(&broker, addr, transport);
+    link.send_packet(&Packet::Publish(Publish::simple(
+        TopicName::new("t").unwrap(),
+        b"x".to_vec(),
+    )))
+    .unwrap();
+    assert_eq!(
+        link.recv_packet_timeout(Duration::from_secs(30))
+            .unwrap_err(),
+        MqttError::Disconnected
+    );
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while broker.stats().connections_current != 0 {
+        assert!(
+            Instant::now() < deadline,
+            "gated connection was never dropped"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    broker.shutdown();
+}
+
+#[test]
+fn tcp_packet_before_connect_is_dropped() {
+    packet_before_connect_is_dropped(Transport::Tcp, "rt-gate");
+}
+
+#[test]
+fn in_process_packet_before_connect_is_dropped() {
+    packet_before_connect_is_dropped(Transport::InProcess, "rt-gatei");
 }
 
 #[test]
@@ -354,10 +424,9 @@ fn broker_threads_stay_constant_as_tcp_connections_grow() {
     broker.shutdown();
 }
 
-#[test]
-fn slow_consumer_is_evicted_and_will_fires() {
+fn slow_consumer_evicted_with_will(transport: Transport, name: &str) {
     let broker = Broker::start(BrokerConfig {
-        name: "rt-evict".to_owned(),
+        name: name.to_owned(),
         // Small enough that an unread subscriber trips it quickly, big
         // enough that handshakes never do.
         tcp_write_hwm: 256 * 1024,
@@ -365,13 +434,14 @@ fn slow_consumer_is_evicted_and_will_fires() {
     });
     let addr = broker.listen("127.0.0.1:0").unwrap();
 
-    let watcher = SyncClient::over(tcp_link(addr).unwrap(), "evict-watch");
+    let watcher = SyncClient::over(open(&broker, addr, transport), "evict-watch");
     watcher.subscribe("wills/#", QoS::AtMostOnce, 1);
 
     // The victim subscribes to the flood topic, registers a will, and
     // then never reads again.
-    let mut victim = RawTcp::connect(
-        addr,
+    let victim = open(&broker, addr, transport);
+    handshake(
+        &victim,
         "evict-victim",
         Some(LastWill {
             topic: TopicName::new("wills/victim").unwrap(),
@@ -380,18 +450,20 @@ fn slow_consumer_is_evicted_and_will_fires() {
             retain: false,
         }),
     );
-    victim.send(&Packet::Subscribe(Subscribe {
-        packet_id: 1,
-        filters: vec![(TopicFilter::new("flood/#").unwrap(), QoS::AtMostOnce)],
-    }));
-    match victim.recv() {
+    victim
+        .send_packet(&Packet::Subscribe(Subscribe {
+            packet_id: 1,
+            filters: vec![(TopicFilter::new("flood/#").unwrap(), QoS::AtMostOnce)],
+        }))
+        .unwrap();
+    match victim.recv_packet_timeout(Duration::from_secs(30)).unwrap() {
         Packet::Suback(_) => {}
         other => panic!("expected suback, got {other:?}"),
     }
     // From here on the victim stops reading: kernel buffers fill, then
     // the broker-side outbound queue climbs to the high-water mark.
 
-    let publ = SyncClient::over(tcp_link(addr).unwrap(), "evict-pub");
+    let publ = SyncClient::over(open(&broker, addr, transport), "evict-pub");
     let blob = vec![0xabu8; 64 * 1024];
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut id = 10u16;
@@ -416,7 +488,18 @@ fn slow_consumer_is_evicted_and_will_fires() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(broker.stats().slow_consumer_evictions, 1);
+    drop(victim);
     broker.shutdown();
+}
+
+#[test]
+fn slow_consumer_is_evicted_and_will_fires() {
+    slow_consumer_evicted_with_will(Transport::Tcp, "rt-evict");
+}
+
+#[test]
+fn in_process_slow_consumer_is_evicted_and_will_fires() {
+    slow_consumer_evicted_with_will(Transport::InProcess, "rt-evicti");
 }
 
 #[test]
@@ -465,10 +548,10 @@ fn fault_delay_rides_the_reactor_timer_not_a_thread() {
 
 #[test]
 fn tcp_transport_matches_link_reference_multiset() {
-    // The threaded in-process link path is the reference; the script
-    // below interleaves overlapping subscriptions, unsubscribes, and
-    // retained publishes. Both transports must deliver the exact same
-    // multiset to every client.
+    // The in-process single-shard run is the reference; the script below
+    // interleaves overlapping subscriptions, unsubscribes, and retained
+    // publishes. Both transports must deliver the exact same multiset to
+    // every client.
     #[derive(Clone)]
     enum Op {
         Sub(usize, &'static str, QoS),

@@ -15,7 +15,7 @@
 use crate::compress::{compress_auto, decompress_auto, MODE_RAW};
 use crate::wire::{crc32, Chunk, WireError};
 use bytes::Bytes;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 /// Batching configuration.
@@ -94,11 +94,25 @@ pub enum PushResult {
 }
 
 struct Partial {
-    chunks: Vec<Option<Bytes>>,
-    received: u32,
+    /// Chunks received so far, by sequence number. Slots exist only for
+    /// chunks that arrived: the wire's `total` sizes nothing.
+    chunks: BTreeMap<u32, Bytes>,
+    total: u32,
     payload_crc: u32,
     started: Instant,
     bytes: usize,
+}
+
+impl Partial {
+    fn new(total: u32, payload_crc: u32) -> Partial {
+        Partial {
+            chunks: BTreeMap::new(),
+            total,
+            payload_crc,
+            started: Instant::now(),
+            bytes: 0,
+        }
+    }
 }
 
 /// Reassembles chunked transfers keyed by (sender, transfer id).
@@ -139,43 +153,30 @@ impl Reassembler {
     pub fn push(&mut self, sender: &str, frame: Bytes) -> Result<PushResult, WireError> {
         let chunk = Chunk::decode(frame)?;
         let key = (sender.to_owned(), chunk.transfer_id);
-        let partial = self.partials.entry(key.clone()).or_insert_with(|| Partial {
-            chunks: vec![None; chunk.total as usize],
-            received: 0,
-            payload_crc: chunk.payload_crc,
-            started: Instant::now(),
-            bytes: 0,
-        });
-        if partial.chunks.len() != chunk.total as usize || partial.payload_crc != chunk.payload_crc
-        {
+        let partial = self
+            .partials
+            .entry(key.clone())
+            .or_insert_with(|| Partial::new(chunk.total, chunk.payload_crc));
+        if partial.total != chunk.total || partial.payload_crc != chunk.payload_crc {
             // A new transfer reused the id with different shape: restart.
-            *partial = Partial {
-                chunks: vec![None; chunk.total as usize],
-                received: 0,
-                payload_crc: chunk.payload_crc,
-                started: Instant::now(),
-                bytes: 0,
-            };
+            *partial = Partial::new(chunk.total, chunk.payload_crc);
         }
-        let slot = &mut partial.chunks[chunk.seq as usize];
-        if slot.is_some() {
+        if partial.chunks.contains_key(&chunk.seq) {
             return Ok(PushResult::Duplicate);
         }
         partial.bytes += chunk.data.len();
-        *slot = Some(chunk.data);
-        partial.received += 1;
+        partial.chunks.insert(chunk.seq, chunk.data);
 
-        if partial.received as usize == partial.chunks.len() {
+        if partial.chunks.len() == partial.total as usize {
             let partial = self.partials.remove(&key).expect("just inserted");
             // A single-chunk transfer's body *is* its one chunk — already
             // a slice of the received frame, so no concatenation copy.
-            let body: Bytes = if partial.chunks.len() == 1 {
-                let mut chunks = partial.chunks;
-                chunks.pop().flatten().expect("all received")
+            let body: Bytes = if partial.total == 1 {
+                partial.chunks.into_values().next().expect("all received")
             } else {
                 let mut v = Vec::with_capacity(partial.bytes);
-                for piece in partial.chunks.into_iter() {
-                    v.extend_from_slice(&piece.expect("all received"));
+                for piece in partial.chunks.values() {
+                    v.extend_from_slice(piece);
                 }
                 self.copied += v.len() as u64;
                 Bytes::from(v)
@@ -200,8 +201,8 @@ impl Reassembler {
             }
         } else {
             Ok(PushResult::Incomplete {
-                received: partial.received,
-                total: partial.chunks.len() as u32,
+                received: partial.chunks.len() as u32,
+                total: partial.total,
             })
         }
     }
