@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out.
+//! Ablation benches for the main design choices.
 //!
 //! Subcommands (run all with no argument):
 //!

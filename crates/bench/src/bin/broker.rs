@@ -40,6 +40,7 @@
 //! both modes.
 
 use bytes::Bytes;
+use sdflmq_bench::CountingAlloc;
 use sdflmq_mqtt::broker::{Broker, BrokerConfig};
 use sdflmq_mqtt::codec;
 use sdflmq_mqtt::packet::{Connack, Connect, Packet, Publish, QoS, Subscribe};
@@ -47,36 +48,11 @@ use sdflmq_mqtt::persist::{store, wal, Durability, Persistence, WalRecord};
 use sdflmq_mqtt::topic::{TopicFilter, TopicName};
 use sdflmq_mqtt::transport::LinkEnd;
 use sdflmq_mqttfc::Json;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const PARTITIONS: usize = 8;
-
-/// Counting allocator for the steady-state WAL probe (mirrors the
-/// data-plane bench): every `alloc` / `realloc` bumps a counter, so an
-/// append loop that reuses its encode scratch shows a *flat* (here:
-/// zero) per-round count instead of growth.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -516,9 +492,9 @@ fn bench_wal_allocs_per_round(rounds: usize) -> (Vec<u64>, bool) {
     }
     let mut per_round = Vec::with_capacity(rounds);
     for _ in 0..rounds {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = CountingAlloc::count();
         round(&mut writer, &mut seq);
-        per_round.push(ALLOCS.load(Ordering::Relaxed) - before);
+        per_round.push(CountingAlloc::count() - before);
     }
     let flat = per_round.iter().all(|n| *n == 0);
     drop(writer);

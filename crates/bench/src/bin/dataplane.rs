@@ -20,42 +20,18 @@
 //! (int8 ≥ 3.9x bytes/round reduction, FedAvg peak buffering of one
 //! vector) hold in both modes.
 
+use sdflmq_bench::{min_time, CountingAlloc};
 use sdflmq_core::{
     simulate, AggregationMethod, FedAvg, MemoryAware, SimConfig, Topology, UpdateCodec,
 };
 use sdflmq_mqttfc::Json;
 use sdflmq_nn::codec::reference;
 use sdflmq_nn::parallel::WorkerPool;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 const MODEL_PARAMS: usize = 109_386; // 784-128-64-10 MLP
 const CLIENTS: usize = 40;
 const FAN_IN: usize = 32;
-
-/// Counting allocator for the steady-state probe: every `alloc` /
-/// `realloc` bumps a counter, so a round loop that reuses its buffers
-/// shows a *flat* per-round count instead of growth.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -134,18 +110,6 @@ struct ThreadScaling {
     encode_speedup_4_vs_1: f64,
 }
 
-/// Best-of-`iters` wall time of `f` — minimum, not mean, so one
-/// scheduler preemption (likely on small CI hosts) cannot sink a row.
-fn min_time(iters: u32, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 fn bench_threads(codec: UpdateCodec, iters: u32) -> ThreadScaling {
     let x = pseudo_model(MODEL_PARAMS);
     let mut rows: Vec<ThreadRow> = Vec::new();
@@ -222,9 +186,9 @@ fn bench_allocs_per_round(rounds: usize) -> (Vec<u64>, bool) {
     }
     let mut per_round = Vec::with_capacity(rounds);
     for _ in 0..rounds {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = CountingAlloc::count();
         round(&mut residual, &mut encoded, &mut decoded);
-        per_round.push(ALLOCS.load(Ordering::Relaxed) - before);
+        per_round.push(CountingAlloc::count() - before);
     }
     let flat = per_round.windows(2).all(|w| w[0] == w[1]);
     (per_round, flat)

@@ -210,8 +210,8 @@ pub fn publish_retained_json(
 mod tests {
     use super::*;
     use crate::ids::SessionId;
-    use crossbeam::channel::bounded;
     use sdflmq_mqtt::{Broker, ClientOptions};
+    use std::sync::mpsc::sync_channel;
     use std::time::Duration;
 
     fn channel(broker: &Broker, id: &str) -> BlobChannel {
@@ -233,7 +233,7 @@ mod tests {
     fn blob_pubsub_roundtrip() {
         let broker = Broker::start_default();
         let rx_chan = channel(&broker, "rx");
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         rx_chan
             .subscribe(
                 &TopicFilter::new("params/in").unwrap(),
@@ -255,7 +255,7 @@ mod tests {
     fn binary_meta_pubsub_roundtrip() {
         let broker = Broker::start_default();
         let rx_chan = channel(&broker, "rx2");
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         rx_chan
             .subscribe(
                 &TopicFilter::new("params/bin").unwrap(),
@@ -281,7 +281,7 @@ mod tests {
     fn corrupt_transfers_are_counted_not_delivered() {
         let broker = Broker::start_default();
         let rx_chan = channel(&broker, "rxd");
-        let (tx, rx) = bounded(2);
+        let (tx, rx) = sync_channel(2);
         rx_chan
             .subscribe(
                 &TopicFilter::new("params/corrupt").unwrap(),
@@ -320,7 +320,7 @@ mod tests {
             ..BatchConfig::default()
         };
         let rx_chan = BlobChannel::new(client, "rx0", batch, QoS::AtLeastOnce);
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         rx_chan
             .subscribe(
                 &TopicFilter::new("params/zc").unwrap(),
@@ -367,7 +367,7 @@ mod tests {
     fn wildcard_subscription_sees_all_sessions() {
         let broker = Broker::start_default();
         let rx_chan = channel(&broker, "ps");
-        let (tx, rx) = bounded(4);
+        let (tx, rx) = sync_channel(4);
         rx_chan
             .subscribe(
                 &TopicFilter::new("sdflmq/session/+/ps").unwrap(),
@@ -399,7 +399,7 @@ mod tests {
     fn concurrent_senders_to_one_topic() {
         let broker = Broker::start_default();
         let rx_chan = channel(&broker, "agg");
-        let (tx, rx) = bounded(8);
+        let (tx, rx) = sync_channel(8);
         rx_chan
             .subscribe(
                 &TopicFilter::new("agg/stack").unwrap(),

@@ -38,7 +38,6 @@ use crate::roles::{PreferredRole, RoleSpec};
 use crate::topics::{functions, global_topic, param_server_topic, position_topic, Position};
 use crate::wirecodec::{ControlMsg, Envelope, MsgKind, WireVersion};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use sdflmq_mqtt::client::Dialer;
 use sdflmq_mqtt::{Broker, Client, ClientOptions, TopicFilter};
@@ -48,6 +47,7 @@ use sdflmq_nn::parallel::WorkerPool;
 use sdflmq_sim::{ClientSystem, SystemSpec};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -57,7 +57,8 @@ pub struct SdflmqClientConfig {
     pub preferred_role: PreferredRole,
     /// Aggregation rule used when this client holds an aggregator position.
     pub aggregation: Box<dyn AggregationMethod>,
-    /// Simulated machine profile (the psutil stand-in; see DESIGN.md).
+    /// Simulated machine profile, standing in for the paper's psutil
+    /// readings of the host.
     pub system: SystemSpec,
     /// Seed for the system model's load drift.
     pub system_seed: u64,
@@ -251,7 +252,9 @@ struct SessionHandle {
     current_round: u32,
     round_gate: Arc<RoundGate>,
     events_tx: Sender<SessionEvent>,
-    events_rx: Receiver<SessionEvent>,
+    /// Shared with `wait_global_update`, which takes it out of the
+    /// sessions lock before blocking (a std receiver is not `Clone`).
+    events_rx: Arc<Mutex<Receiver<SessionEvent>>>,
     num_samples: u64,
     /// Contribution of the most recent `send_local`; `wait_global_update`
     /// ignores round-start events at or below its round, and re-delegation
@@ -428,7 +431,7 @@ impl SdflmqClient {
             if sessions.contains_key(session_id) {
                 return Err(CoreError::Refused("already joined locally".into()));
             }
-            let (events_tx, events_rx) = unbounded();
+            let (events_tx, events_rx) = channel();
             sessions.insert(
                 session_id.clone(),
                 SessionHandle {
@@ -438,7 +441,7 @@ impl SdflmqClient {
                     current_round: 0,
                     round_gate: RoundGate::new(),
                     events_tx,
-                    events_rx,
+                    events_rx: Arc::new(Mutex::new(events_rx)),
                     num_samples,
                     last_sent: None,
                     wire: WireVersion::V1Json,
@@ -760,7 +763,7 @@ impl SdflmqClient {
                 .get(session_id)
                 .ok_or_else(|| CoreError::UnknownSession(session_id.as_str().into()))?;
             (
-                handle.events_rx.clone(),
+                Arc::clone(&handle.events_rx),
                 handle.last_sent.as_ref().map(|l| l.round).unwrap_or(0),
             )
         };
@@ -772,7 +775,7 @@ impl SdflmqClient {
             let Some(slice) = wait_slice(&*clock, deadline) else {
                 return Err(CoreError::Timeout);
             };
-            match rx.recv_timeout(slice) {
+            match rx.lock().recv_timeout(slice) {
                 // Round starts at or below the round we contributed to are
                 // stale (the session's very first round_start, or a
                 // mid-round re-delegation re-announcement).
@@ -785,13 +788,11 @@ impl SdflmqClient {
                 Ok(SessionEvent::Aborted(reason)) => return Err(CoreError::Aborted(reason)),
                 // A slice expired: loop back, which re-checks the (clock-
                 // measured) deadline and times out once it truly passed.
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Timeout) => continue,
                 // Senders gone means the session handle was torn down —
                 // that only happens on eviction. Looping here would spin
                 // hot until the deadline (Disconnected returns instantly).
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    return Ok(WaitOutcome::Evicted)
-                }
+                Err(RecvTimeoutError::Disconnected) => return Ok(WaitOutcome::Evicted),
             }
         }
     }

@@ -53,6 +53,7 @@ use sdflmq_mqtt::{Broker, Client, ClientOptions, Dialer, QoS};
 use sdflmq_mqttfc::{FleetController, Json, RfcConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -180,7 +181,7 @@ pub struct Coordinator {
     fc: FleetController,
     state: Arc<Mutex<CoordState>>,
     running: Arc<AtomicBool>,
-    work_tx: crossbeam::channel::Sender<WorkItem>,
+    work_tx: Sender<WorkItem>,
     signal: Arc<TickSignal>,
 }
 
@@ -217,7 +218,7 @@ impl Coordinator {
             clock: Arc::clone(&clock),
         }));
         let running = Arc::new(AtomicBool::new(true));
-        let (work_tx, work_rx) = crossbeam::channel::unbounded::<WorkItem>();
+        let (work_tx, work_rx) = channel::<WorkItem>();
         let signal = TickSignal::new();
 
         // A virtual-clock step changes every deadline at once: re-check
@@ -471,7 +472,7 @@ impl Coordinator {
 
     fn handle_join(
         state: &Mutex<CoordState>,
-        work: &crossbeam::channel::Sender<WorkItem>,
+        work: &Sender<WorkItem>,
         req: JoinRequest,
         negotiated: WireVersion,
     ) -> Result<()> {
@@ -566,7 +567,7 @@ impl Coordinator {
 
     fn handle_round_done(
         state: &Mutex<CoordState>,
-        work: &crossbeam::channel::Sender<WorkItem>,
+        work: &Sender<WorkItem>,
         report: RoundDone,
     ) -> Result<()> {
         let round_closed = {
@@ -754,7 +755,7 @@ impl Coordinator {
     fn handle_overdue(
         state: &Mutex<CoordState>,
         fc: &FleetController,
-        work: &crossbeam::channel::Sender<WorkItem>,
+        work: &Sender<WorkItem>,
         session_id: &SessionId,
     ) -> Result<()> {
         enum Outcome {
@@ -935,7 +936,7 @@ impl Coordinator {
     fn housekeeping(
         state: &Arc<Mutex<CoordState>>,
         fc: &FleetController,
-        work: &crossbeam::channel::Sender<WorkItem>,
+        work: &Sender<WorkItem>,
     ) -> Option<Instant> {
         #[derive(Debug)]
         enum Action {

@@ -1044,6 +1044,55 @@ mod tests {
         );
     }
 
+    /// Pins the control-plane bytes on the wire: the size table in
+    /// docs/PROTOCOL.md §"Size and speed" cites these exact lengths.
+    #[test]
+    fn control_frame_sizes_match_protocol_table() {
+        let session = SessionId::new("fig8-session").unwrap();
+        let stats = StatsMsg {
+            free_memory: 3_221_225_472,
+            available_flops: 3.7e9,
+            memory_utilization: 0.4375,
+        };
+        let join = ControlMsg::Join(JoinRequest {
+            session_id: session.clone(),
+            client_id: ClientId::new("client_017").unwrap(),
+            model_name: ModelId::new("mnist-mlp").unwrap(),
+            preferred_role: PreferredRole::Any,
+            num_samples: 600,
+            stats,
+            proto: WireVersion::LATEST.as_u8(),
+            codec: 2,
+        });
+        let set_role = ControlMsg::Ctrl {
+            session: session.clone(),
+            msg: CtrlMsg::SetRole(RoleSpec {
+                role: Role::TrainerAggregator,
+                position: Some(Position::Agg(3)),
+                parent: Position::Root,
+                expected_inputs: 6,
+                round: 4,
+                data_wire: 2,
+                data_codec: 2,
+            }),
+        };
+        let round_done = ControlMsg::RoundDone(RoundDone {
+            session_id: session,
+            client_id: ClientId::new("client_017").unwrap(),
+            round: 4,
+            stats,
+        });
+        for (name, msg, json, binary) in [
+            ("join", join, 232, 66),
+            ("set_role", set_role, 173, 51),
+            ("round_done", round_done, 156, 49),
+        ] {
+            let sizes = [WireVersion::V1Json, WireVersion::V2Binary]
+                .map(|v| Envelope::new(v, msg.clone()).encode().len());
+            assert_eq!(sizes, [json, binary], "{name}: [json, binary] bytes");
+        }
+    }
+
     #[test]
     fn binary_reencode_is_byte_identical() {
         let msg = ControlMsg::RoundDone(RoundDone {

@@ -72,7 +72,6 @@ use crate::stats::{BrokerCounters, BrokerStatsSnapshot};
 use crate::topic::TopicName;
 use crate::transport::{FrameReader, FrameSender, LinkEnd, Outbound, Stream};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{IoSlice, Write};
@@ -80,6 +79,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -349,7 +349,7 @@ impl Broker {
         let mut shard_ios = Vec::with_capacity(shards);
         let mut rxs = Vec::with_capacity(shards);
         for _ in 0..shards {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let (wake, wake_rx) = waker().expect("create shard waker");
             let mut poller = Poller::new().expect("create shard poller");
             poller
@@ -503,7 +503,7 @@ impl Broker {
         if self.persist.is_none() {
             return;
         }
-        let (ack, done) = unbounded();
+        let (ack, done) = channel();
         let mut sent = 0;
         for h in &self.handles {
             if h.send(Event::Snapshot { ack: ack.clone() }) {
@@ -838,7 +838,17 @@ impl ShardCore {
             // mailbox and write queue: an event or scheduled flush that
             // raced the arming would otherwise sleep until the deadline.
             self.wake_rx.arm();
-            if !rx.is_empty() || !self.write_sched.is_empty() {
+            match rx.try_recv() {
+                Ok(event) => {
+                    if !self.handle(event) {
+                        break 'outer;
+                    }
+                    continue;
+                }
+                Err(TryRecvError::Disconnected) => break 'outer,
+                Err(TryRecvError::Empty) => {}
+            }
+            if !self.write_sched.is_empty() {
                 continue;
             }
             events.clear();

@@ -59,6 +59,6 @@ pub use client::{Client, ClientOptions, Dialer, MessageHandler};
 pub use error::{ConnectReturnCode, MqttError, Result};
 pub use fault::{FaultAction, FaultHandle, FaultPlan, FaultRule};
 pub use packet::{LastWill, Packet, Publish, QoS};
-pub use persist::{Durability, Persistence, WalOverflow};
+pub use persist::{Durability, Persistence};
 pub use stats::BrokerStatsSnapshot;
 pub use topic::{TopicFilter, TopicName};

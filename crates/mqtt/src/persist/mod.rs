@@ -53,20 +53,6 @@ pub enum Durability {
     Always,
 }
 
-/// What an appending shard does when its WAL queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalOverflow {
-    /// Block the shard until the persistence thread frees a slot (the
-    /// default): durability backpressure propagates to clients, no
-    /// record is ever lost. Stalls are counted in `wal_stalls`.
-    Block,
-    /// Drop the record and keep the shard running: the broker degrades
-    /// to in-memory for that event, counted in `wal_sheds`, and the
-    /// next append triggers a compaction that re-serializes full state
-    /// so the on-disk image converges again.
-    Shed,
-}
-
 /// Persistence configuration for one broker instance.
 #[derive(Debug, Clone)]
 pub struct Persistence {
@@ -81,10 +67,11 @@ pub struct Persistence {
     /// Fsync policy for the persistence thread.
     pub durability: Durability,
     /// Bounded capacity of each per-stream append queue (records queued
-    /// but not yet written by the persistence thread).
+    /// but not yet written by the persistence thread). An append that
+    /// finds its queue full blocks the shard until the persistence
+    /// thread frees a slot, so durability backpressure reaches clients
+    /// and no record is lost; stalls are counted in `wal_stalls`.
     pub queue_capacity: usize,
-    /// Behavior when an append finds its stream queue full.
-    pub overflow: WalOverflow,
 }
 
 impl Persistence {
@@ -95,7 +82,6 @@ impl Persistence {
             snapshot_every: 4096,
             durability: Durability::OsCache,
             queue_capacity: 4096,
-            overflow: WalOverflow::Block,
         }
     }
 
@@ -122,12 +108,6 @@ impl Persistence {
     /// Overrides the per-stream append-queue capacity (default 4096).
     pub fn queue_capacity(mut self, records: usize) -> Self {
         self.queue_capacity = records.max(1);
-        self
-    }
-
-    /// Overrides the queue-overflow policy (default [`WalOverflow::Block`]).
-    pub fn overflow(mut self, overflow: WalOverflow) -> Self {
-        self.overflow = overflow;
         self
     }
 

@@ -34,11 +34,8 @@
 //! Snapshot compaction runs on the same thread: shards only serialize
 //! their in-memory state into the queue ([`PersistStore::compact_shard`]).
 //!
-//! A full queue applies the configured [`WalOverflow`] policy: `Block`
-//! stalls the appender until the persistence thread frees a slot
-//! (counted in `wal_stalls`), `Shed` drops the record (counted in
-//! `wal_sheds`) and forces a compaction on the next append so the
-//! on-disk image re-converges. [`PersistStore::drain`] is the barrier
+//! A full queue stalls the appender until the persistence thread frees
+//! a slot (counted in `wal_stalls`). [`PersistStore::drain`] is the barrier
 //! `snapshot_now()` and broker shutdown use: it blocks until every
 //! record enqueued before the call is written (and fsynced, under the
 //! `GroupCommit` / `Always` [`Durability`] policies).
@@ -52,7 +49,7 @@
 use super::recovery::{retained_records, session_records, RecoveredState};
 use super::snapshot::{read_snapshot, write_snapshot, write_snapshot_durable};
 use super::wal::{read_wal, WalRecord, WalWriter};
-use super::{Durability, Persistence, WalOverflow};
+use super::{Durability, Persistence};
 use crate::broker::shard_of;
 use crate::packet::QoS;
 use crate::retained::RetainedStore;
@@ -129,7 +126,6 @@ struct Inner {
     dir: PathBuf,
     snapshot_every: u64,
     queue_capacity: usize,
-    overflow: WalOverflow,
     durability: Durability,
     counters: Arc<BrokerCounters>,
     /// One queue per shard stream plus the retained stream (last index).
@@ -155,8 +151,8 @@ impl Inner {
         self.work_cv.notify_one();
     }
 
-    /// Enqueues one append onto stream `idx`, applying the overflow
-    /// policy. Returns true when the caller should compact the stream.
+    /// Enqueues one append onto stream `idx`, blocking while the queue
+    /// is full. Returns true when the caller should compact the stream.
     fn enqueue_append(&self, idx: usize, rec: WalRecord) -> bool {
         if self.stopped.load(Ordering::Acquire) {
             return false;
@@ -164,26 +160,13 @@ impl Inner {
         let q = &self.queues[idx];
         let mut st = q.state.lock();
         if st.ops.len() >= self.queue_capacity {
-            match self.overflow {
-                WalOverflow::Block => {
-                    BrokerCounters::bump(&self.counters.wal_stalls);
-                    self.kick(true);
-                    while st.ops.len() >= self.queue_capacity
-                        && !self.stopped.load(Ordering::Acquire)
-                    {
-                        q.cv.wait(&mut st);
-                    }
-                    if self.stopped.load(Ordering::Acquire) {
-                        return false;
-                    }
-                }
-                WalOverflow::Shed => {
-                    BrokerCounters::bump(&self.counters.wal_sheds);
-                    self.kick(true);
-                    // The record is lost; a compaction re-serializes the
-                    // shard's full in-memory state, restoring consistency.
-                    return true;
-                }
+            BrokerCounters::bump(&self.counters.wal_stalls);
+            self.kick(true);
+            while st.ops.len() >= self.queue_capacity && !self.stopped.load(Ordering::Acquire) {
+                q.cv.wait(&mut st);
+            }
+            if self.stopped.load(Ordering::Acquire) {
+                return false;
             }
         }
         st.ops.push_back(WalOp::Append(rec));
@@ -345,7 +328,6 @@ impl PersistStore {
             dir: dir.to_path_buf(),
             snapshot_every: cfg.snapshot_every.max(1),
             queue_capacity: cfg.queue_capacity.max(1),
-            overflow: cfg.overflow,
             durability: cfg.durability,
             counters,
             queues: (0..shards + 1).map(|_| StreamQueue::default()).collect(),
@@ -913,36 +895,6 @@ mod tests {
             "records arrive in >= 1 group-committed batches"
         );
         assert!(snap.fsyncs >= 1, "drain forces the coalesced fsync");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn shed_overflow_counts_and_requests_compaction() {
-        let dir = temp_dir("shed");
-        let counters = Arc::new(BrokerCounters::default());
-        let config = cfg(&dir).queue_capacity(1).overflow(WalOverflow::Shed);
-        let (store, _) = PersistStore::open(&dir, 1, &config, 64, Arc::clone(&counters)).unwrap();
-        // Saturate the one-slot queue from this thread; at least one of
-        // a rapid burst must find it full and shed (the worker needs a
-        // syscall per batch, the enqueues need none).
-        let mut shed_seen = false;
-        for i in 0..4096 {
-            let compact = store.append_shard(
-                0,
-                WalRecord::SessionCreate {
-                    client: format!("c{i}"),
-                },
-            );
-            if counters.snapshot().wal_sheds > 0 {
-                assert!(compact, "a shed append must request compaction");
-                shed_seen = true;
-                break;
-            }
-        }
-        store.drain();
-        if shed_seen {
-            assert!(counters.snapshot().wal_sheds >= 1);
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -740,6 +740,7 @@ mod tests {
     fn crc32_known_vector() {
         // "123456789" → 0xCBF43926 (the IEEE check value).
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

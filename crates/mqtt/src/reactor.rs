@@ -20,11 +20,11 @@
 //!   targets and as a differential reference in tests.
 //!
 //! [`Poller`] aliases whichever fits the target. The [`waker`] pair turns
-//! the crossbeam shard mailbox into a pollable event source: producers
-//! write one byte into a nonblocking `UnixStream` pair (only when the
-//! consumer has *armed* the waker, so a busy shard costs producers a
-//! single atomic swap, not a syscall), and the shard drains the byte when
-//! its poll wakes.
+//! the shard mailbox (a std `mpsc` channel) into a pollable event source:
+//! producers write one byte into a nonblocking `UnixStream` pair (only
+//! when the consumer has *armed* the waker, so a busy shard costs
+//! producers a single atomic swap, not a syscall), and the shard drains
+//! the byte when its poll wakes.
 
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, RawFd};

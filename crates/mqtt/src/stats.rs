@@ -60,10 +60,8 @@ pub struct BrokerCounters {
     /// High-water mark of any per-stream WAL queue (records enqueued but
     /// not yet written by the persistence thread).
     pub wal_queue_hwm: AtomicU64,
-    /// Times a shard blocked on a full WAL queue (`WalOverflow::Block`).
+    /// Times a shard blocked on a full WAL queue.
     pub wal_stalls: AtomicU64,
-    /// Records dropped on a full WAL queue (`WalOverflow::Shed`).
-    pub wal_sheds: AtomicU64,
     /// WAL records lost to write errors (the stream degrades to
     /// in-memory operation after the first failure).
     pub wal_append_errors: AtomicU64,
@@ -147,7 +145,6 @@ impl BrokerCounters {
             wal_batches: self.wal_batches.load(Ordering::Relaxed),
             wal_queue_hwm: self.wal_queue_hwm.load(Ordering::Relaxed),
             wal_stalls: self.wal_stalls.load(Ordering::Relaxed),
-            wal_sheds: self.wal_sheds.load(Ordering::Relaxed),
             wal_append_errors: self.wal_append_errors.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
             snapshot_ms: self.snapshot_ms.load(Ordering::Relaxed),
@@ -210,8 +207,6 @@ pub struct BrokerStatsSnapshot {
     pub wal_queue_hwm: u64,
     /// Times a shard blocked on a full WAL queue.
     pub wal_stalls: u64,
-    /// Records dropped on a full WAL queue (`WalOverflow::Shed`).
-    pub wal_sheds: u64,
     /// WAL records lost to write errors (degraded durability).
     pub wal_append_errors: u64,
     /// Fsync calls issued by the persistence thread.

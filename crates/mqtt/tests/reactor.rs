@@ -71,14 +71,14 @@ fn handshake(link: &LinkEnd, id: &str, will: Option<LastWill>) {
 struct SyncClient {
     link: LinkEnd,
     received: Arc<Mutex<Vec<Recorded>>>,
-    acks: crossbeam::channel::Receiver<Packet>,
+    acks: std::sync::mpsc::Receiver<Packet>,
 }
 
 impl SyncClient {
     fn over(link: LinkEnd, id: &str) -> SyncClient {
         handshake(&link, id, None);
         let received = Arc::new(Mutex::new(Vec::new()));
-        let (ack_tx, acks) = crossbeam::channel::unbounded();
+        let (ack_tx, acks) = std::sync::mpsc::channel();
         let reader = link.clone();
         let sink = Arc::clone(&received);
         std::thread::spawn(move || loop {

@@ -84,7 +84,7 @@ type Recorded = (String, Vec<u8>, u8, bool);
 struct SyncClient {
     link: LinkEnd,
     received: Arc<Mutex<Vec<Recorded>>>,
-    acks: crossbeam::channel::Receiver<Packet>,
+    acks: std::sync::mpsc::Receiver<Packet>,
 }
 
 impl SyncClient {
@@ -102,7 +102,7 @@ impl SyncClient {
             other => panic!("expected connack, got {other:?}"),
         }
         let received = Arc::new(Mutex::new(Vec::new()));
-        let (ack_tx, acks) = crossbeam::channel::unbounded();
+        let (ack_tx, acks) = std::sync::mpsc::channel();
         let reader = link.clone();
         let sink = Arc::clone(&received);
         std::thread::spawn(move || loop {

@@ -191,7 +191,10 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
         return Err(CompressError::Corrupt("missing length header"));
     }
     let expected = u32::from_le_bytes([input[0], input[1], input[2], input[3]]) as usize;
-    let mut out = Vec::with_capacity(expected);
+    // The header is untrusted: reserve no more than the stream can
+    // inflate to (one flag byte + 8 pairs = 17 bytes → at most 144).
+    let inflatable = (input.len() - 4).div_ceil(17) * 8 * MAX_MATCH;
+    let mut out = Vec::with_capacity(expected.min(inflatable));
     let mut pos = 4usize;
 
     while out.len() < expected {

@@ -19,11 +19,11 @@ use crate::batching::{split, BatchConfig, PushResult, Reassembler};
 use crate::error::{Result, RfcError};
 use crate::wire::{RfcKind, RfcMessage};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Mutex, RwLock};
 use sdflmq_mqtt::{Client, Publish, QoS, TopicFilter, TopicName};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -80,7 +80,7 @@ struct Shared {
     next_transfer: AtomicU64,
     transfer_base: u64,
     reassembler: Mutex<Reassembler>,
-    pending: Mutex<HashMap<u64, Sender<RfcMessage>>>,
+    pending: Mutex<HashMap<u64, SyncSender<RfcMessage>>>,
     handlers: RwLock<HashMap<String, RfcHandler>>,
     push_count: AtomicU64,
 }
@@ -284,7 +284,7 @@ impl FleetController {
         timeout: Duration,
     ) -> Result<Bytes> {
         let call_id = self.shared.next_call.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         self.shared.pending.lock().insert(call_id, tx);
         let msg = RfcMessage {
             call_id,
@@ -330,7 +330,7 @@ mod tests {
     fn fire_and_forget_invokes_handler() {
         let broker = Broker::start_default();
         let callee = controller(&broker, "callee");
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         callee
             .expose(
                 "notify",

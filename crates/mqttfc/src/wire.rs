@@ -9,10 +9,12 @@
 //!   [`crate::batching`]).
 //!
 //! Both use a compact length-prefixed binary layout. A CRC32 (IEEE
-//! polynomial, table-driven) protects each chunk so reassembly can reject
-//! corrupted or mixed-up transfers.
+//! polynomial) protects each chunk so reassembly can reject corrupted or
+//! mixed-up transfers. It is the broker WAL's slicing-by-8 implementation,
+//! re-exported here as [`crc32`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+pub use sdflmq_mqtt::persist::wal::crc32;
 
 /// Errors from wire decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,35 +48,6 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE), table-driven
-// ---------------------------------------------------------------------------
-
-/// Computes the IEEE CRC32 of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    0xEDB8_8320 ^ (crc >> 1)
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
-        }
-        table
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
 
 // ---------------------------------------------------------------------------
 // Varints (LEB128) — shared by the RFC layer and the SDFLMQ control-plane

@@ -2,7 +2,7 @@
 //! monotonicity laws the experiment harness relies on.
 
 use proptest::prelude::*;
-use sdflmq_sim::{LinkModel, Network, NodeLink, SimDuration, SimTime, Simulator};
+use sdflmq_sim::{LinkModel, Network, NodeLink, SimDuration, SimTime};
 
 proptest! {
     /// A FIFO link never completes a later-submitted transfer before an
@@ -52,26 +52,5 @@ proptest! {
         for (f, s) in fast.iter().zip(&slow) {
             prop_assert!(*f <= *s + 1e-9, "fast {f} vs slow {s}");
         }
-    }
-
-    /// The event queue pops every scheduled event exactly once, in
-    /// non-decreasing time order.
-    #[test]
-    fn simulator_pops_everything_in_order(
-        times in prop::collection::vec(0u64..1_000_000, 1..64),
-    ) {
-        let mut sim = Simulator::new();
-        for (i, &t) in times.iter().enumerate() {
-            sim.schedule_at(SimTime::from_nanos(t), i);
-        }
-        let mut popped = Vec::new();
-        let mut last = SimTime::ZERO;
-        while let Some((at, id)) = sim.pop() {
-            prop_assert!(at >= last);
-            last = at;
-            popped.push(id);
-        }
-        popped.sort_unstable();
-        prop_assert_eq!(popped, (0..times.len()).collect::<Vec<_>>());
     }
 }

@@ -9,10 +9,10 @@
 //! | [`mqttfc`] | `sdflmq-mqttfc` | topic-bound RFC layer with batching + compression |
 //! | [`nn`] | `sdflmq-nn` | flat-parameter MLP, losses, optimizers, training loop |
 //! | [`dataset`] | `sdflmq-dataset` | synthetic digit data + federated partitioning |
-//! | [`sim`] | `sdflmq-sim` | virtual clock, event queue, network & system models |
+//! | [`sim`] | `sdflmq-sim` | virtual clock, network & system models |
 //!
-//! See the repository README for a quickstart and `DESIGN.md` for the
-//! system inventory and paper-experiment index.
+//! `examples/quickstart.rs` runs a full session; `docs/ARCHITECTURE.md`
+//! describes the layers.
 
 pub use sdflmq_core as core;
 pub use sdflmq_dataset as dataset;
